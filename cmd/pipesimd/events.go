@@ -11,9 +11,10 @@ package main
 // backpressuring the simulation path. The per-job stream is stronger:
 // terminal point outcomes carry the job's outcome-log index as the SSE
 // event ID, the handler replays the log past the client's Last-Event-ID
-// before going live, and deduplicates live events by index — so a
-// consumer that reconnects (even across a daemon crash, thanks to the
-// checkpointed indexes) observes every outcome exactly once.
+// before going live, deduplicates live events by index, and fills any
+// index a live event overtook from the log — so a consumer that
+// reconnects (even across a daemon crash, thanks to the checkpointed
+// indexes) observes every outcome exactly once, in index order.
 
 import (
 	"encoding/json"
@@ -146,7 +147,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, errKindInternal, errors.New("response writer cannot stream"))
 		return
 	}
-	s.streamLive(r, sse, sub, nil, 0)
+	s.streamLive(r, sse, sub, nil)
 }
 
 // handleJobEvents streams one job's events with exactly-once terminal
@@ -196,27 +197,70 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if err := sse.event("", "job.snapshot", view); err != nil {
 		return
 	}
-	cursor := after
+	cur := &jobCursor{m: m, id: id, last: after}
 	for _, o := range outcomes {
-		if err := sse.event(strconv.Itoa(o.Index), "point."+o.Outcome, o); err != nil {
+		if err := cur.send(sse, o); err != nil {
 			return
-		}
-		if o.Index > cursor {
-			cursor = o.Index
 		}
 	}
 	if view.State.Terminal() {
 		sse.event("", "end", endEvent{Reason: "job_terminal"})
 		return
 	}
-	s.streamLive(r, sse, sub, &cursor, after)
+	s.streamLive(r, sse, sub, cur)
+}
+
+// jobCursor is a per-job stream's exactly-once state: the highest outcome
+// index delivered so far, and the job whose outcome log fills gaps.
+type jobCursor struct {
+	m    *jobs.Manager
+	id   string
+	last int
+}
+
+// send delivers one indexed outcome with its log index as the resumable
+// SSE ID and advances the cursor.
+func (c *jobCursor) send(sse *sseWriter, o jobs.PointOutcome) error {
+	if err := sse.event(strconv.Itoa(o.Index), "point."+o.Outcome, o); err != nil {
+		return err
+	}
+	if o.Index > c.last {
+		c.last = o.Index
+	}
+	return nil
+}
+
+// fillGap delivers the logged outcomes between the cursor and idx. Point
+// workers reserve indexes in order but each publishes only after its own
+// checkpoint fsync, so a live outcome can overtake a lower index on the
+// bus. The log already holds every reserved index: replaying the gap from
+// it keeps the stream in index order, and the overtaken event is cut by
+// the cursor when it arrives.
+func (c *jobCursor) fillGap(sse *sseWriter, idx int) error {
+	if idx <= c.last+1 {
+		return nil
+	}
+	logged, _, err := c.m.Outcomes(c.id, c.last)
+	if err != nil {
+		return nil // job forgotten: deliver what arrives
+	}
+	for _, o := range logged {
+		if o.Index >= idx {
+			break
+		}
+		if err := c.send(sse, o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // streamLive pumps bus events to the client until the client goes away,
 // the bus drains, or (with a cursor, i.e. a per-job stream) the job
-// ends. cursor, when non-nil, deduplicates indexed point outcomes:
-// events at or below it were already delivered by the replay.
-func (s *server) streamLive(r *http.Request, sse *sseWriter, sub *eventbus.Subscriber, cursor *int, after int) {
+// ends. cursor, when non-nil, makes indexed point outcomes exactly-once:
+// events at or below it were already delivered, and a gap below an
+// arriving index is filled from the outcome log first.
+func (s *server) streamLive(r *http.Request, sse *sseWriter, sub *eventbus.Subscriber, cursor *jobCursor) {
 	hb := s.sseHeartbeat
 	if hb <= 0 {
 		hb = defaultSSEHeartbeat
@@ -230,13 +274,18 @@ func (s *server) streamLive(r *http.Request, sse *sseWriter, sub *eventbus.Subsc
 		if cursor != nil {
 			// Per-job stream: indexed outcomes carry their log index as the
 			// resumable ID; anything at or below the cursor was already
-			// delivered by the replay.
+			// delivered by the replay or a gap fill.
 			if o, isOutcome := ev.Data.(jobs.PointOutcome); isOutcome && o.Index > 0 {
-				if o.Index <= *cursor {
+				if o.Index <= cursor.last {
 					return false, true
 				}
-				*cursor = o.Index
-				id = strconv.Itoa(o.Index)
+				if err := cursor.fillGap(sse, o.Index); err != nil {
+					return false, false
+				}
+				if err := cursor.send(sse, o); err != nil {
+					return false, false
+				}
+				return false, true
 			}
 		} else {
 			// Firehose: the bus sequence number orders the stream, and the

@@ -646,3 +646,59 @@ func TestJobEventsSoakKillResume(t *testing.T) {
 		t.Fatalf("recovered job finished %s (error %q), want done", fin.State, fin.Error)
 	}
 }
+
+// TestJobEventsLiveOrderTwoWorkers: with two point workers, outcomes are
+// reserved in index order but published after separate checkpoint
+// fsyncs, so a higher index can reach the bus first. A consumer following
+// the job live must still receive every index 1..N exactly once, in
+// order. The later rounds run warm (run-cache hits), where points finish
+// in bursts and publication overtakes most often.
+func TestJobEventsLiveOrderTwoWorkers(t *testing.T) {
+	var gate atomic.Pointer[chan struct{}]
+	_, base := jobsTestServer(t, serverOptions{
+		jobsPoints: 2,
+		jobsFault: func(jobID, pointID string, attempt int) error {
+			<-*gate.Load()
+			return nil
+		},
+	})
+	const spec = `{"grid":{"variants":["conv","16-16"],"cache_sizes":[32,64,128,256,512,1024]}}`
+	const points = 12
+	for round := 0; round < 4; round++ {
+		// Hold every point until the stream has attached, so all
+		// outcomes travel the live path rather than the replay.
+		release := make(chan struct{})
+		gate.Store(&release)
+		resp, body := postJSON(t, base+"/v1/jobs", spec)
+		if resp.StatusCode != http.StatusAccepted {
+			close(release)
+			t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		}
+		var v jobs.View
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+		s := openSSE(t, base+"/v1/jobs/"+v.ID+"/events", "")
+		first, err := s.next(nil)
+		close(release)
+		if err != nil || first.Event != "job.snapshot" {
+			t.Fatalf("round %d: first frame %+v (%v), want job.snapshot", round, first, err)
+		}
+		frames := s.collectUntil(t, func(f sseFrame) bool { return f.Event == "end" })
+		var ids []string
+		for _, f := range frames {
+			if strings.HasPrefix(f.Event, "point.") {
+				ids = append(ids, f.ID)
+			}
+		}
+		want := make([]string, points)
+		for i := range want {
+			want[i] = strconv.Itoa(i + 1)
+		}
+		if strings.Join(ids, ",") != strings.Join(want, ",") {
+			t.Fatalf("round %d: live outcome ids %v, want 1..%d each exactly once", round, ids, points)
+		}
+		s.close()
+	}
+}

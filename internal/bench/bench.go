@@ -211,6 +211,12 @@ type Delta struct {
 	// PctChange is the ns/op change in percent; positive means slower.
 	PctChange  float64 `json:"pct_change"`
 	Regression bool    `json:"regression"`
+	// The footprint columns are reported beside ns/op but never gate:
+	// zero means the baseline was recorded without -benchmem.
+	OldBytesPerOp  float64 `json:"old_bytes_per_op,omitempty"`
+	NewBytesPerOp  float64 `json:"new_bytes_per_op,omitempty"`
+	OldAllocsPerOp float64 `json:"old_allocs_per_op,omitempty"`
+	NewAllocsPerOp float64 `json:"new_allocs_per_op,omitempty"`
 }
 
 // Comparison is the full diff of two baselines.
@@ -250,7 +256,9 @@ func Compare(old, new *Baseline, thresholdPct float64) *Comparison {
 			c.OnlyNew = append(c.OnlyNew, nb.Name)
 			continue
 		}
-		d := Delta{Name: nb.Name, OldNsPerOp: ob.NsPerOp, NewNsPerOp: nb.NsPerOp}
+		d := Delta{Name: nb.Name, OldNsPerOp: ob.NsPerOp, NewNsPerOp: nb.NsPerOp,
+			OldBytesPerOp: ob.BytesPerOp, NewBytesPerOp: nb.BytesPerOp,
+			OldAllocsPerOp: ob.AllocsPerOp, NewAllocsPerOp: nb.AllocsPerOp}
 		if ob.NsPerOp > 0 {
 			d.PctChange = (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp * 100
 		}
@@ -265,17 +273,22 @@ func Compare(old, new *Baseline, thresholdPct float64) *Comparison {
 	return c
 }
 
-// Format renders the comparison as an aligned human-readable table.
+// Format renders the comparison as an aligned human-readable table: the
+// gated ns/op columns, then old/new B/op and allocs/op for reference ("-"
+// where a baseline carries no -benchmem figures).
 func (c *Comparison) Format() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintf(&sb, "%-40s %14s %14s %9s %12s %12s %10s %10s\n", "benchmark",
+		"old ns/op", "new ns/op", "delta", "old B/op", "new B/op", "old allocs", "new allocs")
 	for _, d := range c.Deltas {
 		mark := ""
 		if d.Regression {
 			mark = "  REGRESSION"
 		}
-		fmt.Fprintf(&sb, "%-40s %14.0f %14.0f %+8.1f%%%s\n",
-			d.Name, d.OldNsPerOp, d.NewNsPerOp, d.PctChange, mark)
+		fmt.Fprintf(&sb, "%-40s %14.0f %14.0f %+8.1f%% %12s %12s %10s %10s%s\n",
+			d.Name, d.OldNsPerOp, d.NewNsPerOp, d.PctChange,
+			memCol(d.OldBytesPerOp), memCol(d.NewBytesPerOp),
+			memCol(d.OldAllocsPerOp), memCol(d.NewAllocsPerOp), mark)
 	}
 	for _, n := range c.OnlyOld {
 		fmt.Fprintf(&sb, "%-40s (removed)\n", n)
@@ -284,4 +297,12 @@ func (c *Comparison) Format() string {
 		fmt.Fprintf(&sb, "%-40s (new)\n", n)
 	}
 	return sb.String()
+}
+
+// memCol formats one B/op or allocs/op figure, "-" when absent.
+func memCol(v float64) string {
+	if v == 0 {
+		return "-"
+	}
+	return strconv.FormatFloat(v, 'f', 0, 64)
 }

@@ -134,3 +134,42 @@ func TestCompareFlagsRegression(t *testing.T) {
 		t.Errorf("regressions at 20%% = %+v, want none", regs)
 	}
 }
+
+// TestFormatFootprintColumns: the comparison table shows old and new B/op
+// and allocs/op beside ns/op, "-" where a baseline has no -benchmem
+// figures, and the footprint never marks a regression.
+func TestFormatFootprintColumns(t *testing.T) {
+	old := New("old", []Benchmark{
+		{Name: "BenchmarkSingleRun", NsPerOp: 1000, BytesPerOp: 1206717, AllocsPerOp: 7229},
+		{Name: "BenchmarkBare", NsPerOp: 1000},
+	})
+	new := New("new", []Benchmark{
+		{Name: "BenchmarkSingleRun", NsPerOp: 1000, BytesPerOp: 87417, AllocsPerOp: 77},
+		{Name: "BenchmarkBare", NsPerOp: 1000, BytesPerOp: 9e6, AllocsPerOp: 5e4},
+	})
+	c := Compare(old, new, 10)
+	if regs := c.Regressions(); len(regs) != 0 {
+		t.Errorf("footprint growth gated as a regression: %+v", regs)
+	}
+	lines := strings.Split(strings.TrimSpace(c.Format()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("table has %d lines, want header + 2:\n%s", len(lines), c.Format())
+	}
+	for _, col := range []string{"old B/op", "new B/op", "old allocs", "new allocs"} {
+		if !strings.Contains(lines[0], col) {
+			t.Errorf("header lacks %q: %s", col, lines[0])
+		}
+	}
+	rows := map[string][]string{}
+	for _, l := range lines[1:] {
+		f := strings.Fields(l)
+		rows[f[0]] = f
+	}
+	// name, old ns, new ns, delta, old B, new B, old allocs, new allocs
+	if got := rows["BenchmarkSingleRun"][4:8]; strings.Join(got, " ") != "1206717 87417 7229 77" {
+		t.Errorf("SingleRun footprint columns = %v", got)
+	}
+	if got := rows["BenchmarkBare"][4:8]; strings.Join(got, " ") != "- 9000000 - 50000" {
+		t.Errorf("Bare footprint columns = %v", got)
+	}
+}

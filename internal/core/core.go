@@ -398,6 +398,10 @@ func (s *Simulator) Image() *program.Image { return s.img }
 // traffic drained) and returns the collected statistics. Run may be called
 // once per Simulator.
 //
+// The returned statistics are owned by the caller: they are a copy that
+// shares nothing with the Simulator, so keeping a result does not keep the
+// simulator (its simulated RAM, caches and queues) reachable.
+//
 // Run is total: it never panics. A panic escaping the internal packages —
 // a simulator bug — is recovered and returned as a *MachineCheckError
 // carrying the cycle, PC, strategy, configuration and the tail of the
@@ -498,7 +502,8 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 	if s.intr != nil {
 		s.st.Cache = s.intr.Stats()
 	}
-	return &s.st, nil
+	out := s.st
+	return &out, nil
 }
 
 // SkippedCycles reports how many cycles the run elided via event-driven

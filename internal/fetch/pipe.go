@@ -396,7 +396,7 @@ func (p *Pipe) advanceFetch(next uint32) {
 	p.fetchAddr = next
 	for len(p.redirects) > 0 && p.fetchAddr >= p.redirects[0].from {
 		p.fetchAddr = p.redirects[0].to
-		p.redirects = p.redirects[1:]
+		p.redirects = p.redirects[:copy(p.redirects, p.redirects[1:])] // in place: no realloc on the next append
 	}
 }
 

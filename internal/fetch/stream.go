@@ -195,7 +195,10 @@ func (s *streamer) settle() (redirected bool) {
 			s.blocked = true // window exhausted, outcome unknown
 			break
 		}
-		s.pending = s.pending[1:]
+		// Pop by compacting in place: re-slicing from the front would
+		// strand the backing array's head, and the next append would
+		// reallocate once per branch window.
+		s.pending = s.pending[:copy(s.pending, s.pending[1:])]
 		if p.taken {
 			s.nextPC = p.target
 			redirected = true

@@ -169,12 +169,24 @@ type fpuOp struct {
 	seq     uint64
 }
 
+// Simulated RAM geometry: the 20-bit address space in 4 KiB pages.
+const (
+	pageBytes = 4096
+	numPages  = (program.AddrMask + 1) / pageBytes
+)
+
+// page is one demand-allocated page of simulated RAM, word-indexed.
+type page [pageBytes / 4]uint32
+
 // System is the complete off-chip world: memory, busses, arbiter and FPU.
 type System struct {
 	cfg Config
 	st  *stats.Mem
 
-	ram []uint32 // the full 20-bit word-indexed address space
+	// pages is the 20-bit address space, demand-paged: a page is allocated
+	// on its first write (the image preload included) and an unwritten
+	// page reads as zero, so a run pays only for the pages it touches.
+	pages [numPages]*page
 
 	cycle          uint64
 	queues         [numClasses]*queue.Queue[*Request]
@@ -231,13 +243,12 @@ func New(cfg Config, img *program.Image, st *stats.Mem) (*System, error) {
 	if st == nil {
 		st = &stats.Mem{}
 	}
-	s := &System{cfg: cfg, st: st, ram: make([]uint32, (program.AddrMask+1)/4),
-		nextInflightAt: NoEvent, nextFPUAt: NoEvent}
+	s := &System{cfg: cfg, st: st, nextInflightAt: NoEvent, nextFPUAt: NoEvent}
 	for i, w := range img.RAMWords() {
-		s.ram[(program.TextBase/4)+uint32(i)] = w
+		s.WriteWord(program.TextBase+uint32(i)*4, w)
 	}
 	for i, w := range img.Data {
-		s.ram[(program.DataBase/4)+uint32(i)] = w
+		s.WriteWord(program.DataBase+uint32(i)*4, w)
 	}
 	for k := range s.queues {
 		q, err := queue.New[*Request](64)
@@ -308,12 +319,28 @@ func (s *System) DebugState() string {
 		len(s.inflight), len(s.fpuOps), s.memFreeAt, s.inputBusFreeAt)
 }
 
-// ReadWord returns the current memory word at a 4-byte-aligned address.
-// Used by tests and examples to inspect results after a run.
-func (s *System) ReadWord(addr uint32) uint32 { return s.ram[(addr&program.AddrMask)/4] }
+// ReadWord returns the current memory word at a 4-byte-aligned address
+// (wrapped to the 20-bit space); a word never written reads as zero. Used
+// by tests and examples to inspect results after a run.
+func (s *System) ReadWord(addr uint32) uint32 {
+	addr &= program.AddrMask
+	if p := s.pages[addr/pageBytes]; p != nil {
+		return p[addr%pageBytes/4]
+	}
+	return 0
+}
 
-// WriteWord stores directly into memory, bypassing timing. Used by tests.
-func (s *System) WriteWord(addr uint32, v uint32) { s.ram[(addr&program.AddrMask)/4] = v }
+// WriteWord stores directly into memory, bypassing timing, allocating the
+// page on its first write. Used by the image preload, stores and tests.
+func (s *System) WriteWord(addr uint32, v uint32) {
+	addr &= program.AddrMask
+	p := s.pages[addr/pageBytes]
+	if p == nil {
+		p = new(page)
+		s.pages[addr/pageBytes] = p
+	}
+	p[addr%pageBytes/4] = v
+}
 
 // Submit enqueues a request for arbitration. The returned handle can cancel
 // it while it is still queued. Submit panics on malformed requests, which

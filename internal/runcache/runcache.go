@@ -387,9 +387,15 @@ func simulate(ctx context.Context, cfg core.Config, img *program.Image) (*stats.
 	return st, nil
 }
 
-// runFresh is one uncached simulation.
+// newSimulator builds the simulator behind every miss; tests wrap it to
+// observe the simulator's lifetime.
+var newSimulator = core.New
+
+// runFresh is one uncached simulation. The result is the caller's own
+// copy (core.Simulator.Run), so neither the caller nor the cache tiers
+// keep the finished simulator reachable.
 func runFresh(cfg core.Config, img *program.Image) (*stats.Sim, error) {
-	sim, err := core.New(cfg, img)
+	sim, err := newSimulator(cfg, img)
 	if err != nil {
 		return nil, err
 	}
