@@ -455,6 +455,36 @@ func BenchmarkRunCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkRunArchivedHit measures the library side of a warm pipesimd
+// /v1/run without asm or kernel: each op fetches the benchmark program and
+// serves the default configuration through the run cache, exactly as the
+// daemon's handler does, minus HTTP and JSON. BenchmarkRunCacheHit times
+// the cache alone; the gap between the two is the per-request program
+// cost, which the process-wide image keeps near zero.
+func BenchmarkRunArchivedHit(b *testing.B) {
+	ctx := context.Background()
+	cfg := pipesim.DefaultConfig()
+	hit := func() pipesim.RunSource {
+		prog, _, err := pipesim.LivermoreProgram()
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, src, err := pipesim.RunArchived(ctx, cfg, prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return src
+	}
+	hit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if src := hit(); src != pipesim.RunFromMemory {
+			b.Fatalf("op %d served from %q, want %q", i, src, pipesim.RunFromMemory)
+		}
+	}
+}
+
 // BenchmarkSpanOverhead prices the tracing layer at its two states. The
 // "untraced" case is every library call path when no daemon is attached:
 // StartSpan finds no span in the context and returns the nil no-op span —

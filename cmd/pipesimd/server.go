@@ -173,12 +173,16 @@ type serverOptions struct {
 	jobsFault func(jobID, pointID string, attempt int) error
 }
 
-// warm builds the shared Livermore benchmark image (the expensive lazy
-// initialisation every benchmark run needs) and flips the readiness gate.
+// warm builds the process-wide Livermore benchmark image and its run-cache
+// fingerprint (the expensive lazy initialisation every benchmark run
+// needs; /v1/run and sweeps share the one image) and flips the readiness
+// gate.
 func (s *server) warm() error {
-	if _, err := sweep.BenchmarkImage(); err != nil {
+	img, err := sweep.BenchmarkImage()
+	if err != nil {
 		return err
 	}
+	img.Fingerprint()
 	s.ready.Store(true)
 	return nil
 }

@@ -18,7 +18,15 @@ package cache
 //
 // The shadows are fed from the fetch engines' own hit/miss accounting
 // points (not from the array's Lookup counters), so the per-class counts
-// sum exactly to the engine's CacheMisses statistic by construction. The
+// sum exactly to the engine's CacheMisses statistic by construction.
+//
+// All three per-address tables (the seen set, the FA shadow's index and
+// the hot miss-PC counts) are dense slices indexed by line number or byte
+// address, not maps: the text segment starts at address 0 and the
+// Livermore text is a few KiB, so a reference costs a bounds check and an
+// indexed load. The slices are sized to the text at construction and grow
+// on demand, so a reference past the text (a wild branch, a synthetic test
+// stream) takes the same path. The
 // introspector is purely observational: it never influences the array or
 // the engines, so cycle counts are bit-identical with introspection on or
 // off.
@@ -36,8 +44,8 @@ type Introspector struct {
 	lineBytes uint32
 	nLines    uint32
 
-	seen map[uint32]struct{} // infinite shadow: line addresses ever referenced
-	fa   faLRU               // equal-size fully-associative LRU shadow
+	seen []bool // infinite shadow: seen[n] once line n has been referenced
+	fa   faLRU  // equal-size fully-associative LRU shadow
 
 	sets    []stats.CacheSetStats
 	lineHit []bool // resident line of each set has hit since its fill
@@ -46,8 +54,9 @@ type Introspector struct {
 	evictions uint64
 	dead      uint64
 
-	hot  map[uint32]uint64 // miss PC -> miss count
-	topN int
+	hot    []uint64 // hot[pc]: misses at byte address pc
+	hotPCs int      // distinct PCs with a nonzero hot count
+	topN   int
 
 	// OnEvict, when set, observes every eviction of the real array:
 	// the set index, the displaced line address, and whether the line was
@@ -58,25 +67,22 @@ type Introspector struct {
 
 // NewIntrospector builds an introspector for a direct-mapped cache of the
 // given geometry. topN bounds the hot miss-PC table returned by Stats
-// (<= 0 keeps every PC).
-func NewIntrospector(sizeBytes, lineBytes, topN int) *Introspector {
+// (<= 0 keeps every PC). textBytes sizes the dense tables for the text
+// segment [0, textBytes) up front; references past it grow them.
+func NewIntrospector(sizeBytes, lineBytes, topN int, textBytes uint32) *Introspector {
 	nLines := sizeBytes / lineBytes
+	textLines := (textBytes + uint32(lineBytes) - 1) / uint32(lineBytes)
 	in := &Introspector{
 		lineBytes: uint32(lineBytes),
 		nLines:    uint32(nLines),
-		seen:      make(map[uint32]struct{}),
+		seen:      make([]bool, textLines),
 		sets:      make([]stats.CacheSetStats, nLines),
 		lineHit:   make([]bool, nLines),
-		hot:       make(map[uint32]uint64),
+		hot:       make([]uint64, textBytes),
 		topN:      topN,
 	}
-	in.fa.init(nLines)
+	in.fa.init(nLines, textLines)
 	return in
-}
-
-// set returns the direct-mapped frame index of addr.
-func (in *Introspector) set(addr uint32) int {
-	return int((addr / in.lineBytes) % in.nLines)
 }
 
 // Reference observes one demand reference of the fetch engine at its own
@@ -84,16 +90,25 @@ func (in *Introspector) set(addr uint32) int {
 // for a hit). Both shadows see every reference — hits included — so the
 // fully-associative shadow's LRU order tracks true recency.
 func (in *Introspector) Reference(addr uint32, hit bool) stats.MissClass {
-	line := addr - addr%in.lineBytes
-	set := in.set(addr)
+	line := addr / in.lineBytes
+	set := int(line % in.nLines)
 	s := &in.sets[set]
 	s.Accesses++
 	class := stats.MissUnclassified
-	_, seen := in.seen[line]
+	if line >= uint32(len(in.seen)) {
+		in.seen = grow(in.seen, line)
+	}
+	seen := in.seen[line]
 	if hit {
 		in.lineHit[set] = true
 	} else {
 		s.Misses++
+		if addr >= uint32(len(in.hot)) {
+			in.hot = grow(in.hot, addr)
+		}
+		if in.hot[addr] == 0 {
+			in.hotPCs++
+		}
 		in.hot[addr]++
 		switch {
 		case !seen:
@@ -105,11 +120,17 @@ func (in *Introspector) Reference(addr uint32, hit bool) stats.MissClass {
 		}
 		in.classes[class]++
 	}
-	if !seen {
-		in.seen[line] = struct{}{}
-	}
+	in.seen[line] = true
 	in.fa.reference(line)
 	return class
+}
+
+// grow extends s with zero values so that index i is valid, at least
+// doubling it so that a run of references past the text costs a handful
+// of copies.
+func grow[T any](s []T, i uint32) []T {
+	n := max(int(i)+1, 2*len(s))
+	return append(s, make([]T, n-len(s))...)
 }
 
 // TrackFill records that the array claimed frame `set` for a new tag,
@@ -147,10 +168,12 @@ func (in *Introspector) Stats() *stats.CacheStats {
 		DeadEvictions: in.dead,
 		Sets:          append([]stats.CacheSetStats(nil), in.sets...),
 	}
-	if len(in.hot) > 0 {
-		pcs := make([]stats.CacheHotPC, 0, len(in.hot))
+	if in.hotPCs > 0 {
+		pcs := make([]stats.CacheHotPC, 0, in.hotPCs)
 		for pc, n := range in.hot {
-			pcs = append(pcs, stats.CacheHotPC{PC: pc, Misses: n})
+			if n > 0 {
+				pcs = append(pcs, stats.CacheHotPC{PC: uint32(pc), Misses: n})
+			}
 		}
 		sort.Slice(pcs, func(i, j int) bool {
 			if pcs[i].Misses != pcs[j].Misses {
@@ -166,71 +189,77 @@ func (in *Introspector) Stats() *stats.CacheStats {
 	return out
 }
 
-// faLRU is the fully-associative LRU shadow: a map plus an index-linked
-// circular list (node 0 is the sentinel), preallocated to the cache's
-// line count so steady-state references allocate nothing.
+// faLRU is the fully-associative LRU shadow: a dense line-number index
+// plus an index-linked circular list (node 0 is the sentinel), with the
+// list preallocated to the cache's line count so steady-state references
+// allocate nothing.
 type faLRU struct {
 	cap   int
-	index map[uint32]int
+	size  int
+	index []int32  // index[n]: node holding line n, 0 when not resident
 	nodes []faNode // nodes[0] is the sentinel; head.next = MRU, head.prev = LRU
-	free  []int
+	free  []int32
 }
 
 type faNode struct {
-	prev, next int
-	addr       uint32
+	prev, next int32
+	line       uint32
 }
 
-func (l *faLRU) init(capacity int) {
+func (l *faLRU) init(capacity int, lines uint32) {
 	if capacity < 1 {
 		capacity = 1
 	}
 	l.cap = capacity
-	l.index = make(map[uint32]int, capacity)
+	l.index = make([]int32, lines)
 	l.nodes = make([]faNode, 1, capacity+1)
 	l.nodes[0] = faNode{prev: 0, next: 0}
 }
 
 // contains reports whether line is resident, without touching recency.
 func (l *faLRU) contains(line uint32) bool {
-	_, ok := l.index[line]
-	return ok
+	return line < uint32(len(l.index)) && l.index[line] != 0
 }
 
 // reference touches line as most recently used, inserting it (and evicting
 // the LRU line if full) when absent.
 func (l *faLRU) reference(line uint32) {
-	if i, ok := l.index[line]; ok {
+	if line >= uint32(len(l.index)) {
+		l.index = grow(l.index, line)
+	}
+	if i := l.index[line]; i != 0 {
 		l.unlink(i)
 		l.pushFront(i)
 		return
 	}
-	if len(l.index) >= l.cap {
+	if l.size >= l.cap {
 		lru := l.nodes[0].prev
 		l.unlink(lru)
-		delete(l.index, l.nodes[lru].addr)
+		l.index[l.nodes[lru].line] = 0
 		l.free = append(l.free, lru)
+		l.size--
 	}
-	var i int
+	var i int32
 	if n := len(l.free); n > 0 {
 		i = l.free[n-1]
 		l.free = l.free[:n-1]
-		l.nodes[i].addr = line
+		l.nodes[i].line = line
 	} else {
-		i = len(l.nodes)
-		l.nodes = append(l.nodes, faNode{addr: line})
+		i = int32(len(l.nodes))
+		l.nodes = append(l.nodes, faNode{line: line})
 	}
 	l.index[line] = i
+	l.size++
 	l.pushFront(i)
 }
 
-func (l *faLRU) unlink(i int) {
+func (l *faLRU) unlink(i int32) {
 	n := &l.nodes[i]
 	l.nodes[n.prev].next = n.next
 	l.nodes[n.next].prev = n.prev
 }
 
-func (l *faLRU) pushFront(i int) {
+func (l *faLRU) pushFront(i int32) {
 	head := &l.nodes[0]
 	n := &l.nodes[i]
 	n.prev, n.next = 0, head.next

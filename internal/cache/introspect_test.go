@@ -10,7 +10,7 @@ import (
 // 16-byte lines, i.e. two direct-mapped frames. Addresses 0x00, 0x20,
 // 0x40, ... all map to set 0, so conflict behaviour is easy to provoke
 // while the equal-size FA shadow holds any two lines.
-func newIntro(topN int) *Introspector { return NewIntrospector(32, 16, topN) }
+func newIntro(topN int) *Introspector { return NewIntrospector(32, 16, topN, 0) }
 
 // TestIntrospectorClassification walks a crafted miss stream through the
 // textbook 3C outcomes: never-seen lines are compulsory, lines the
@@ -145,7 +145,7 @@ func TestIntrospectorHotPCs(t *testing.T) {
 // correct LRU of capacity one.
 func TestFALRUSingleLine(t *testing.T) {
 	var l faLRU
-	l.init(1)
+	l.init(1, 0)
 	l.reference(0x10)
 	if !l.contains(0x10) {
 		t.Fatal("0x10 missing after reference")

@@ -246,7 +246,7 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 		if topN == 0 {
 			topN = DefaultCacheTopPCs
 		}
-		s.intr = cache.NewIntrospector(cfg.CacheBytes, cfg.LineBytes, topN)
+		s.intr = cache.NewIntrospector(cfg.CacheBytes, cfg.LineBytes, topN, img.NativeTextEnd())
 		// Evictions surface as KindCacheEvict probe/flight events. The
 		// closure reads the recorder and probe fields at call time, so it
 		// is safe to build before either is attached.

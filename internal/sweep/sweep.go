@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"pipesim/internal/core"
 	"pipesim/internal/isa"
@@ -69,21 +68,11 @@ type Result struct {
 	Series      []Series
 }
 
-// benchImage caches the built benchmark (it is immutable across runs). The
-// once guard makes the cache safe under the parallel sweep runner.
-var (
-	benchOnce  sync.Once
-	benchImage *program.Image
-	benchErr   error
-)
-
-// BenchmarkImage returns the shared Livermore benchmark image. It is safe
-// for concurrent use: the image is built once and never mutated.
+// BenchmarkImage returns the shared Livermore benchmark image
+// (kernels.SharedProgram). It is safe for concurrent use: the image is
+// built once per process and never mutated.
 func BenchmarkImage() (*program.Image, error) {
-	benchOnce.Do(func() {
-		benchImage, _, benchErr = kernels.Program()
-	})
-	return benchImage, benchErr
+	return kernels.SharedProgram()
 }
 
 // runPoint simulates one configuration point through the content-addressed

@@ -315,20 +315,22 @@ type LoopInfo = kernels.LoopInfo
 // Livermore benchmark, matching the paper.
 const BenchmarkInstructions = kernels.TotalInstructions
 
-// LivermoreProgram builds the paper's benchmark program (the first 14
-// Lawrence Livermore Loops) and returns it along with per-loop metadata.
+// LivermoreProgram returns the paper's benchmark program (the first 14
+// Lawrence Livermore Loops) along with per-loop metadata. The program is
+// built once per process and shared by every caller; programs are
+// immutable, so concurrent simulations of it are safe.
 func LivermoreProgram() (*Program, []LoopInfo, error) {
-	img, _, err := kernels.Program()
+	img, err := kernels.SharedProgram()
 	if err != nil {
 		return nil, nil, err
 	}
 	return &Program{img: img}, kernels.TableI(), nil
 }
 
-// LivermoreKernel builds a single Livermore loop (1..14) as a standalone
-// program.
+// LivermoreKernel returns a single Livermore loop (1..14) as a standalone
+// program, built once per process and shared like LivermoreProgram's.
 func LivermoreKernel(index int) (*Program, error) {
-	img, err := kernels.KernelProgram(index)
+	img, err := kernels.SharedKernel(index)
 	if err != nil {
 		return nil, err
 	}
