@@ -12,7 +12,11 @@
 // which the same structure models by setting every sub-block of a line.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"pipesim/internal/stats"
+)
 
 // Cache is a direct-mapped cache with sub-block valid bits.
 type Cache struct {
@@ -41,14 +45,16 @@ type Cache struct {
 	Hits   uint64
 	Misses uint64
 
-	// intr, when attached, observes evictions (tag replacements) for the
-	// introspection heatmaps. Fill paths pay one nil check when detached.
+	// intr, when attached, classifies the fetch engine's references and
+	// observes evictions (tag replacements) for the introspection
+	// heatmaps. Each site pays one nil check when detached.
 	intr *Introspector
 }
 
 // New constructs a cache. Size, line and sub-block must be powers of two
-// with subBlock <= line <= size.
-func New(sizeBytes, lineBytes, subBlockBytes int) (*Cache, error) {
+// with subBlock <= line <= size. intr, when non-nil, observes the array's
+// references and fills; it never influences contents or counters.
+func New(sizeBytes, lineBytes, subBlockBytes int, intr *Introspector) (*Cache, error) {
 	for _, v := range []struct {
 		name string
 		n    int
@@ -69,6 +75,7 @@ func New(sizeBytes, lineBytes, subBlockBytes int) (*Cache, error) {
 		subBlockBytes: subBlockBytes,
 		nLines:        sizeBytes / lineBytes,
 		subsPerLine:   lineBytes / subBlockBytes,
+		intr:          intr,
 	}
 	c.tags = make([]uint32, c.nLines)
 	c.tagValid = make([]bool, c.nLines)
@@ -104,10 +111,16 @@ func (c *Cache) SubBlockBytes() int { return c.subBlockBytes }
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint32) uint32 { return addr &^ uint32(c.lineBytes-1) }
 
-// SetIntrospector attaches the introspection observer to the array's fill
-// paths (nil detaches). The observer sees every tag replacement; it never
-// influences the array's contents or counters.
-func (c *Cache) SetIntrospector(in *Introspector) { c.intr = in }
+// Classify reports one demand reference of the fetch engine, at the
+// engine's own hit/miss accounting point, to the introspector and returns
+// the miss class: MissUnclassified for a hit or when no introspector is
+// attached.
+func (c *Cache) Classify(addr uint32, hit bool) stats.MissClass {
+	if c.intr == nil {
+		return stats.MissUnclassified
+	}
+	return c.intr.Reference(addr, hit)
+}
 
 // residentLine reconstructs the line address resident in frame i from its
 // stored tag.

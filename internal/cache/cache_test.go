@@ -7,7 +7,7 @@ import (
 
 func mustNew(t *testing.T, size, line, sub int) *Cache {
 	t.Helper()
-	c, err := New(size, line, sub)
+	c, err := New(size, line, sub, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,15 +25,15 @@ func TestNewValidation(t *testing.T) {
 		{-128, 8, 4},
 	}
 	for _, c := range bad {
-		if _, err := New(c[0], c[1], c[2]); err == nil {
+		if _, err := New(c[0], c[1], c[2], nil); err == nil {
 			t.Errorf("New(%v) succeeded, want error", c)
 		}
 	}
-	if _, err := New(128, 8, 4); err != nil {
+	if _, err := New(128, 8, 4, nil); err != nil {
 		t.Errorf("New(128,8,4) = %v", err)
 	}
 	// Degenerate but legal: one line, whole-line sub-block.
-	if _, err := New(16, 16, 16); err != nil {
+	if _, err := New(16, 16, 16, nil); err != nil {
 		t.Errorf("New(16,16,16) = %v", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestQuickPresenceMatchesReference(t *testing.T) {
 	f := func(ops []uint16, cfgPick uint8) bool {
 		cfgs := [][3]int{{64, 8, 4}, {128, 16, 4}, {256, 32, 4}, {32, 8, 8}}
 		cfg := cfgs[int(cfgPick)%len(cfgs)]
-		c, err := New(cfg[0], cfg[1], cfg[2])
+		c, err := New(cfg[0], cfg[1], cfg[2], nil)
 		if err != nil {
 			return false
 		}

@@ -34,6 +34,7 @@ package cache
 import (
 	"sort"
 
+	"pipesim/internal/obs"
 	"pipesim/internal/stats"
 )
 
@@ -58,18 +59,15 @@ type Introspector struct {
 	hotPCs int      // distinct PCs with a nonzero hot count
 	topN   int
 
-	// OnEvict, when set, observes every eviction of the real array:
-	// the set index, the displaced line address, and whether the line was
-	// dead (never referenced after its fill). The simulator core wires it
-	// to emit obs.KindCacheEvict probe events.
-	OnEvict func(set int, lineAddr uint32, dead bool)
+	sink *obs.Sink // receives a KindCacheEvict per eviction
 }
 
 // NewIntrospector builds an introspector for a direct-mapped cache of the
-// given geometry. topN bounds the hot miss-PC table returned by Stats
-// (<= 0 keeps every PC). textBytes sizes the dense tables for the text
-// segment [0, textBytes) up front; references past it grow them.
-func NewIntrospector(sizeBytes, lineBytes, topN int, textBytes uint32) *Introspector {
+// given geometry, reporting each eviction of the real array to sink as a
+// KindCacheEvict event. topN bounds the hot miss-PC table returned by
+// Stats (<= 0 keeps every PC). textBytes sizes the dense tables for the
+// text segment [0, textBytes) up front; references past it grow them.
+func NewIntrospector(sink *obs.Sink, sizeBytes, lineBytes, topN int, textBytes uint32) *Introspector {
 	nLines := sizeBytes / lineBytes
 	textLines := (textBytes + uint32(lineBytes) - 1) / uint32(lineBytes)
 	in := &Introspector{
@@ -80,6 +78,7 @@ func NewIntrospector(sizeBytes, lineBytes, topN int, textBytes uint32) *Introspe
 		lineHit:   make([]bool, nLines),
 		hot:       make([]uint64, textBytes),
 		topN:      topN,
+		sink:      sink,
 	}
 	in.fa.init(nLines, textLines)
 	return in
@@ -141,13 +140,13 @@ func (in *Introspector) TrackFill(set int, evicted bool, oldLine uint32) {
 		dead := !in.lineHit[set]
 		in.evictions++
 		in.sets[set].Evictions++
+		var deadVal uint64
 		if dead {
 			in.dead++
 			in.sets[set].DeadEvictions++
+			deadVal = 1
 		}
-		if in.OnEvict != nil {
-			in.OnEvict(set, oldLine, dead)
-		}
+		in.sink.Emit(obs.Event{Kind: obs.KindCacheEvict, Addr: oldLine, Arg: uint32(set), Value: deadVal})
 	}
 	in.lineHit[set] = false
 }

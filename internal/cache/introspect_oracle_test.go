@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"pipesim/internal/cache"
+	"pipesim/internal/obs"
 	"pipesim/internal/stats"
 	"pipesim/internal/sweep"
 )
@@ -259,7 +260,8 @@ func catalogGeometries() [][2]int {
 // (2-byte) instruction alignments occur.
 const textBytes = 4096
 
-// evictRec is one OnEvict callback.
+// evictRec is one eviction: a KindCacheEvict event of the production
+// introspector, an OnEvict callback of the reference model.
 type evictRec struct {
 	set  int
 	line uint32
@@ -294,10 +296,13 @@ func TestIntrospectorMatchesReference(t *testing.T) {
 }
 
 func compareWithReference(t *testing.T, size, line, topN int, presize uint32, seed int64, refs int) {
-	got := cache.NewIntrospector(size, line, topN, presize)
-	want := newRefIntrospector(size, line, topN)
 	var gotEv, wantEv []evictRec
-	got.OnEvict = func(set int, l uint32, dead bool) { gotEv = append(gotEv, evictRec{set, l, dead}) }
+	sink := obs.NewSink(-1)
+	sink.SetProbe(obs.ProbeFunc(func(e obs.Event) {
+		gotEv = append(gotEv, evictRec{int(e.Arg), e.Addr, e.Value != 0})
+	}))
+	got := cache.NewIntrospector(sink, size, line, topN, presize)
+	want := newRefIntrospector(size, line, topN)
 	want.OnEvict = func(set int, l uint32, dead bool) { wantEv = append(wantEv, evictRec{set, l, dead}) }
 
 	nLines := size / line
@@ -341,7 +346,7 @@ func compareWithReference(t *testing.T, size, line, topN int, presize uint32, se
 		}
 	}
 	if !reflect.DeepEqual(gotEv, wantEv) {
-		t.Errorf("OnEvict sequences differ: %d vs %d callbacks", len(gotEv), len(wantEv))
+		t.Errorf("eviction sequences differ: %d events vs %d callbacks", len(gotEv), len(wantEv))
 	}
 	if got.Classes() != want.Classes() {
 		t.Errorf("Classes() = %v, reference model %v", got.Classes(), want.Classes())

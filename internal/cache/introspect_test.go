@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"pipesim/internal/obs"
 	"pipesim/internal/stats"
 )
 
@@ -10,7 +11,7 @@ import (
 // 16-byte lines, i.e. two direct-mapped frames. Addresses 0x00, 0x20,
 // 0x40, ... all map to set 0, so conflict behaviour is easy to provoke
 // while the equal-size FA shadow holds any two lines.
-func newIntro(topN int) *Introspector { return NewIntrospector(32, 16, topN, 0) }
+func newIntro(topN int) *Introspector { return NewIntrospector(obs.NewSink(-1), 32, 16, topN, 0) }
 
 // TestIntrospectorClassification walks a crafted miss stream through the
 // textbook 3C outcomes: never-seen lines are compulsory, lines the
@@ -70,18 +71,21 @@ func TestIntrospectorHitRecency(t *testing.T) {
 }
 
 // TestIntrospectorEvictions covers TrackFill's dead-on-eviction logic and
-// the OnEvict callback wiring.
+// the KindCacheEvict events it emits into its sink.
 func TestIntrospectorEvictions(t *testing.T) {
-	in := newIntro(0)
 	type evt struct {
 		set  int
 		line uint32
 		dead bool
 	}
 	var got []evt
-	in.OnEvict = func(set int, lineAddr uint32, dead bool) {
-		got = append(got, evt{set, lineAddr, dead})
-	}
+	sink := obs.NewSink(-1)
+	sink.SetProbe(obs.ProbeFunc(func(e obs.Event) {
+		if e.Kind == obs.KindCacheEvict {
+			got = append(got, evt{int(e.Arg), e.Addr, e.Value != 0})
+		}
+	}))
+	in := NewIntrospector(sink, 32, 16, 0, 0)
 
 	in.TrackFill(0, false, 0) // first fill of an empty frame: no eviction
 	in.Reference(0x04, true)  // resident line hits
@@ -97,11 +101,11 @@ func TestIntrospectorEvictions(t *testing.T) {
 	}
 	want := []evt{{0, 0x00, false}, {0, 0x20, true}}
 	if len(got) != len(want) {
-		t.Fatalf("OnEvict calls = %+v, want %+v", got, want)
+		t.Fatalf("evict events = %+v, want %+v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("OnEvict[%d] = %+v, want %+v", i, got[i], want[i])
+			t.Errorf("evict event %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
-	"sort"
 
 	"pipesim/internal/cache"
 	"pipesim/internal/cpu"
@@ -18,7 +17,6 @@ import (
 	"pipesim/internal/obs"
 	"pipesim/internal/program"
 	"pipesim/internal/stats"
-	"pipesim/internal/trace"
 )
 
 // FetchStrategy selects the instruction-supply strategy under test.
@@ -170,17 +168,10 @@ type Simulator struct {
 	st  stats.Sim
 	ran bool
 
-	cycle   uint64      // current cycle, for machine-check context
-	ring    *trace.Ring // tail of the retirement stream, for diagnostics
-	userRec trace.Recorder
-
-	probe    obs.Probe       // stamped user probe, or nil
-	loops    []obs.LoopRange // configured loop ranges, by ascending Start
-	curLoop  int             // loop number the retirement stream is inside (0 = outside)
-	loopSeen bool            // a retirement has initialized curLoop
-
-	flight *obs.FlightRecorder // always-on post-mortem ring, nil when disabled
-	intr   *cache.Introspector // cache introspection, nil when disabled
+	// sink is the run's one observer — clock, flight recorder, optional
+	// probe and loop ranges — handed to every component below.
+	sink *obs.Sink
+	intr *cache.Introspector // cache introspection, nil when disabled
 
 	skipped uint64 // cycles elided by skip-ahead (diagnostics/tests only)
 }
@@ -193,7 +184,7 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = DefaultMaxCycles
 	}
-	s := &Simulator{cfg: cfg, img: img}
+	s := &Simulator{cfg: cfg, img: img, sink: obs.NewSink(cfg.FlightRecDepth)}
 	var err error
 	if cfg.NativeFormat && !img.Native {
 		img, err = program.ToNative(img)
@@ -202,15 +193,22 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 		}
 		s.img = img
 	}
-	s.sys, err = mem.New(cfg.Mem, img, &s.st.Mem)
+	s.sys, err = mem.New(cfg.Mem, img, &s.st.Mem, s.sink)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.CacheIntrospect && cfg.Fetch != FetchTIB {
+		topN := cfg.CacheTopPCs
+		if topN == 0 {
+			topN = DefaultCacheTopPCs
+		}
+		s.intr = cache.NewIntrospector(s.sink, cfg.CacheBytes, cfg.LineBytes, topN, img.NativeTextEnd())
 	}
 	subBlock := isa.WordBytes
 	if img.Native {
 		subBlock = isa.ParcelBytes
 	}
-	arr, err := cache.New(cfg.CacheBytes, cfg.LineBytes, subBlock)
+	arr, err := cache.New(cfg.CacheBytes, cfg.LineBytes, subBlock, s.intr)
 	if err != nil {
 		return nil, err
 	}
@@ -223,49 +221,25 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 			IQBBytes:     cfg.IQBBytes,
 			TruePrefetch: cfg.TruePrefetch,
 			DeepPrefetch: cfg.DeepPrefetch,
-		}, arr, img, s.sys, img.Entry)
+		}, arr, img, s.sys, img.Entry, s.sink)
 	case FetchConventional:
 		s.eng, err = fetch.NewConv(fetch.ConvConfig{
 			CacheBytes: cfg.CacheBytes,
 			LineBytes:  cfg.LineBytes,
 			ChunkBytes: cfg.Mem.BusWidthBytes,
-		}, arr, img, s.sys, img.Entry)
+		}, arr, img, s.sys, img.Entry, s.sink)
 	case FetchTIB:
 		s.eng, err = fetch.NewTIB(fetch.TIBConfig{
 			Entries:   cfg.TIBEntries,
 			LineBytes: cfg.TIBLineBytes,
-		}, img, s.sys, img.Entry)
+		}, img, s.sys, img.Entry, s.sink)
 	default:
 		err = fmt.Errorf("core: unknown fetch strategy %d", cfg.Fetch)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CacheIntrospect && cfg.Fetch != FetchTIB {
-		topN := cfg.CacheTopPCs
-		if topN == 0 {
-			topN = DefaultCacheTopPCs
-		}
-		s.intr = cache.NewIntrospector(cfg.CacheBytes, cfg.LineBytes, topN, img.NativeTextEnd())
-		// Evictions surface as KindCacheEvict probe/flight events. The
-		// closure reads the recorder and probe fields at call time, so it
-		// is safe to build before either is attached.
-		s.intr.OnEvict = func(set int, lineAddr uint32, dead bool) {
-			var val uint64
-			if dead {
-				val = 1
-			}
-			if s.flight != nil {
-				s.flight.Record(obs.KindCacheEvict, lineAddr, uint32(set), val)
-			}
-			if s.probe != nil {
-				s.probe.Event(obs.Event{Kind: obs.KindCacheEvict, Addr: lineAddr, Arg: uint32(set), Value: val})
-			}
-		}
-		arr.SetIntrospector(s.intr)
-		s.eng.SetIntrospector(s.intr)
-	}
-	s.cpu, err = cpu.New(cfg.CPU, s.eng, s.sys, &s.st.CPU)
+	s.cpu, err = cpu.New(cfg.CPU, s.eng, s.sys, &s.st.CPU, s.sink)
 	if err != nil {
 		return nil, err
 	}
@@ -275,119 +249,24 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 		// index the fixed-format table).
 		s.cpu.SetDecodeTable(img.Decoded())
 	}
-	s.ring, err = trace.NewRing(RetireTraceDepth)
-	if err != nil {
-		return nil, err
-	}
-	// The flight recorder is on by default (FlightRecDepth < 0 disables):
-	// the fetch engine and memory system write their fault-relevant events
-	// into it directly, and retirements are recorded below.
-	if cfg.FlightRecDepth >= 0 {
-		s.flight = obs.NewFlightRecorder(cfg.FlightRecDepth, &s.cycle)
-		s.sys.SetFlightRecorder(s.flight)
-		s.eng.SetFlightRecorder(s.flight)
-	}
-	// The diagnostic ring and flight recorder always observe retirements.
-	// The CPU writes them directly — they are the common configuration,
-	// and an OnRetire closure per retirement is measurable — while a user
-	// tracer or probe installs the full hook lazily at Run.
-	s.cpu.SetRetireSinks(s.ring, s.flight)
 	return s, nil
 }
 
-// installRetireHook attaches the OnRetire closure serving the optional
-// observers (user tracer, probe with loop tracking). Called at the top of
-// Run, once both are finally known; left nil when neither is attached so
-// retirement stays on the direct-sink fast path.
-func (s *Simulator) installRetireHook() {
-	if s.userRec == nil && s.probe == nil {
-		s.cpu.OnRetire = nil
-		return
-	}
-	s.cpu.OnRetire = func(cycle uint64, pc uint32, in isa.Inst) {
-		if s.userRec != nil {
-			s.userRec.Record(trace.Event{Cycle: cycle, PC: pc, Inst: in})
-		}
-		if s.probe != nil {
-			if s.loops != nil {
-				s.trackLoop(pc)
-			}
-			s.probe.Event(obs.Event{Kind: obs.KindRetire, Addr: pc})
-		}
-	}
-}
-
-// SetProbe attaches p to every instrumented component — memory system,
-// fetch engine, CPU and the core's own retirement/loop tracking — wrapped
-// in an obs.Stamper sharing the simulator clock, so every event carries the
-// cycle it occurred in. Call before Run; a nil probe detaches.
-func (s *Simulator) SetProbe(p obs.Probe) {
-	if p == nil {
-		s.probe = nil
-		s.sys.SetProbe(nil)
-		s.eng.SetProbe(nil)
-		s.cpu.SetProbe(nil)
-		return
-	}
-	stamped := &obs.Stamper{Clock: &s.cycle, Target: p}
-	s.probe = stamped
-	s.sys.SetProbe(stamped)
-	s.eng.SetProbe(stamped)
-	s.cpu.SetProbe(stamped)
-}
+// SetProbe attaches p to the run's event stream: every component reports
+// through the simulator's one sink, which stamps each event with the cycle
+// it occurred in. Call before Run; a nil probe detaches.
+func (s *Simulator) SetProbe(p obs.Probe) { s.sink.SetProbe(p) }
 
 // SetLoopRanges configures the PC ranges the retirement stream is matched
 // against; transitions emit KindLoopEnter/KindLoopExit to the attached
 // probe. Call before Run, with ranges resolved against Image(). Ranges must
-// not overlap (loop bodies are disjoint code regions); they are copied and
-// kept sorted by Start so every retirement resolves its loop with a binary
-// search instead of a scan over all ranges.
-func (s *Simulator) SetLoopRanges(ranges []obs.LoopRange) {
-	if len(ranges) == 0 {
-		s.loops = nil
-		return
-	}
-	s.loops = append([]obs.LoopRange(nil), ranges...)
-	sort.Slice(s.loops, func(i, j int) bool { return s.loops[i].Start < s.loops[j].Start })
-}
-
-// trackLoop emits loop-transition events when the retirement PC moves
-// between configured ranges. A loop's enter event precedes the retire event
-// of its first instruction, so collectors attribute that instruction — and
-// the rest of the cycle — to the loop being entered.
-func (s *Simulator) trackLoop(pc uint32) {
-	// The ranges are sorted by Start and disjoint: the only candidate is
-	// the last range starting at or before pc.
-	loop := 0
-	lo, hi := 0, len(s.loops)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.loops[mid].Start <= pc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > 0 && pc < s.loops[lo-1].End {
-		loop = s.loops[lo-1].Loop
-	}
-	if s.loopSeen && loop == s.curLoop {
-		return
-	}
-	if s.loopSeen && s.curLoop != 0 {
-		s.probe.Event(obs.Event{Kind: obs.KindLoopExit, Arg: uint32(s.curLoop)})
-	}
-	s.curLoop = loop
-	s.loopSeen = true
-	if loop != 0 {
-		s.probe.Event(obs.Event{Kind: obs.KindLoopEnter, Arg: uint32(loop)})
-	}
-}
+// not overlap (loop bodies are disjoint code regions).
+func (s *Simulator) SetLoopRanges(ranges []obs.LoopRange) { s.sink.SetLoopRanges(ranges) }
 
 // FlightEvents returns a snapshot of the flight recorder's retained events,
 // oldest first (nil when recording is disabled). Call after Run: the
 // snapshot must not race with the run goroutine.
-func (s *Simulator) FlightEvents() []obs.Event { return s.flight.Events() }
+func (s *Simulator) FlightEvents() []obs.Event { return s.sink.FlightEvents() }
 
 // Image returns the program image the simulator actually runs — after any
 // native-format relayout — so callers can resolve symbols (for example
@@ -418,7 +297,6 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 			st, err = nil, s.machineCheck(p, debug.Stack())
 		}
 	}()
-	s.installRetireHook()
 	watchdog := s.cfg.WatchdogCycles
 	if watchdog == 0 {
 		watchdog = DefaultWatchdogCycles
@@ -430,9 +308,9 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 	// Skip-ahead turns itself off while a probe is attached: collectors
 	// consuming the per-cycle event stream (KindCycle, queue depths) need
 	// every cycle replayed exactly, not folded.
-	skip := !s.cfg.NoSkipAhead && s.probe == nil
+	skip := !s.cfg.NoSkipAhead && !s.sink.Probing()
 	for cycle := uint64(1); ; cycle++ {
-		s.cycle = cycle
+		s.sink.Cycle = cycle
 		s.sys.BeginCycle(cycle)
 		s.eng.Tick()
 		if s.cfg.InterruptAt != 0 && cycle == s.cfg.InterruptAt {
@@ -512,12 +390,6 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 // disabled, a probe was attached, or no fold opportunity arose. Diagnostic
 // only — call after Run.
 func (s *Simulator) SkippedCycles() uint64 { return s.skipped }
-
-// SetRetireTracer installs a recorder observing every retired instruction.
-// Call before Run.
-func (s *Simulator) SetRetireTracer(rec trace.Recorder) {
-	s.userRec = rec
-}
 
 // ReadWord returns the final memory word at addr (after Run), letting
 // examples and tests verify kernel results.

@@ -1,15 +1,36 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pipesim/internal/asm"
 	"pipesim/internal/core"
 	"pipesim/internal/isa"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
-	"pipesim/internal/trace"
 )
+
+// retireRecorder is a probe keeping every retirement, decoded against the
+// simulator's image.
+type retireRecorder struct {
+	sim    *core.Simulator
+	events []core.Retired
+}
+
+func (r *retireRecorder) Event(e obs.Event) {
+	if e.Kind == obs.KindRetire {
+		r.events = append(r.events, r.sim.DecodeRetire(e))
+	}
+}
+
+// recordRetires attaches a retireRecorder to sim.
+func recordRetires(sim *core.Simulator) *retireRecorder {
+	r := &retireRecorder{sim: sim}
+	sim.SetProbe(r)
+	return r
+}
 
 func smallProgram(t *testing.T) *program.Image {
 	t.Helper()
@@ -85,16 +106,12 @@ func TestRetireTracerSeesDynamicStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := trace.NewRing(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetRetireTracer(ring)
+	rec := recordRetires(sim)
 	st, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := ring.Events()
+	events := rec.events
 	if uint64(len(events)) != st.CPU.Instructions {
 		t.Fatalf("traced %d events, retired %d instructions", len(events), st.CPU.Instructions)
 	}
@@ -126,17 +143,13 @@ func TestWriterTraceFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	sim.SetRetireTracer(&trace.Writer{W: &sb, Limit: 3})
+	rec := recordRetires(sim)
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("wrote %d lines, want 3", len(lines))
-	}
-	if !strings.Contains(lines[0], "LI r1, 4") {
-		t.Errorf("first traced line = %q", lines[0])
+	first := rec.events[0]
+	if got, want := first.String(), fmt.Sprintf("%10d  %05x  LI r1, 4", first.Cycle, first.PC); got != want {
+		t.Errorf("first traced line = %q, want %q", got, want)
 	}
 }
 
@@ -153,16 +166,12 @@ func TestStrategiesAgreeOnArchitecture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring, err := trace.NewRing(4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.SetRetireTracer(ring)
+		rec := recordRetires(sim)
 		if _, err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		var pcs []uint32
-		for _, e := range ring.Events() {
+		for _, e := range rec.events {
 			pcs = append(pcs, e.PC)
 		}
 		streams = append(streams, pcs)

@@ -1,10 +1,10 @@
 package core
 
-// White-box tests for the retirement-stream loop tracker: SetLoopRanges
-// sorts its copy of the ranges and trackLoop resolves each PC with a binary
-// search, so the lookup must agree with a plain linear scan for every PC —
-// inside a range, in the gaps between ranges, and at both boundary
-// addresses of each range.
+// Tests for the retirement-stream loop tracker, driven through the
+// simulator's sink: SetLoopRanges sorts its copy of the ranges and each
+// retirement resolves its loop with a binary search, so the lookup must
+// agree with a plain linear scan for every PC — inside a range, in the
+// gaps between ranges, and at both boundary addresses of each range.
 
 import (
 	"testing"
@@ -12,17 +12,23 @@ import (
 	"pipesim/internal/obs"
 )
 
-// recorderProbe keeps the emitted loop-transition events in order.
+// recorderProbe keeps the emitted events in order.
 type recorderProbe struct{ events []obs.Event }
 
 func (p *recorderProbe) Event(e obs.Event) { p.events = append(p.events, e) }
 
-// loopSim builds a bare Simulator with just the fields trackLoop touches.
+// loopSim builds a bare Simulator with just the sink the tracker runs in.
 func loopSim(ranges []obs.LoopRange) (*Simulator, *recorderProbe) {
 	p := &recorderProbe{}
-	s := &Simulator{probe: p}
+	s := &Simulator{sink: obs.NewSink(-1)}
+	s.SetProbe(p)
 	s.SetLoopRanges(ranges)
 	return s, p
+}
+
+// retire reports one retirement at pc through the simulator's sink.
+func retire(s *Simulator, pc uint32) {
+	s.sink.Emit(obs.Event{Kind: obs.KindRetire, Addr: pc})
 }
 
 func TestSetLoopRangesSortsItsCopy(t *testing.T) {
@@ -31,10 +37,10 @@ func TestSetLoopRangesSortsItsCopy(t *testing.T) {
 		{Loop: 1, Start: 0x100, End: 0x140},
 		{Loop: 2, Start: 0x200, End: 0x240},
 	}
-	s, _ := loopSim(in)
-	for i := 1; i < len(s.loops); i++ {
-		if s.loops[i-1].Start >= s.loops[i].Start {
-			t.Fatalf("ranges not sorted by Start: %+v", s.loops)
+	// The binary search only finds every range if the copy was sorted.
+	for _, r := range in {
+		if got := lookup(in, r.Start); got != r.Loop {
+			t.Errorf("pc %#x resolved to loop %d, want %d", r.Start, got, r.Loop)
 		}
 	}
 	// The caller's slice must be untouched (it was copied, not sorted in
@@ -42,9 +48,11 @@ func TestSetLoopRangesSortsItsCopy(t *testing.T) {
 	if in[0].Loop != 3 {
 		t.Error("SetLoopRanges sorted the caller's slice")
 	}
+	s, p := loopSim(in)
 	s.SetLoopRanges(nil)
-	if s.loops != nil {
-		t.Error("empty input should clear the ranges")
+	retire(s, 0x100)
+	if len(p.events) != 1 || p.events[0].Kind != obs.KindRetire {
+		t.Errorf("empty input should clear the ranges; events = %+v", p.events)
 	}
 }
 
@@ -58,12 +66,17 @@ func lookupLinear(ranges []obs.LoopRange, pc uint32) int {
 	return 0
 }
 
-// lookup drives trackLoop once on a fresh tracker and reads back which loop
-// it decided pc belongs to.
+// lookup retires pc on a fresh tracker and reads back which loop it
+// entered (0 when it stayed outside every range).
 func lookup(ranges []obs.LoopRange, pc uint32) int {
-	s, _ := loopSim(ranges)
-	s.trackLoop(pc)
-	return s.curLoop
+	s, p := loopSim(ranges)
+	retire(s, pc)
+	for _, e := range p.events {
+		if e.Kind == obs.KindLoopEnter {
+			return int(e.Arg)
+		}
+	}
+	return 0
 }
 
 func TestTrackLoopMatchesLinearScan(t *testing.T) {
@@ -97,21 +110,28 @@ func TestTrackLoopEmitsTransitions(t *testing.T) {
 	}
 	s, p := loopSim(ranges)
 	for _, pc := range []uint32{0x0f0, 0x100, 0x13c, 0x140, 0x180} {
-		s.trackLoop(pc)
+		retire(s, pc)
 	}
-	// outside → enter 1 → (stay) → exit 1 + enter 2 → exit 2.
+	// outside → enter 1 → (stay) → exit 1 + enter 2 → exit 2, each
+	// transition ahead of the retirement that caused it.
 	want := []obs.Event{
+		{Kind: obs.KindRetire, Addr: 0x0f0},
 		{Kind: obs.KindLoopEnter, Arg: 1},
+		{Kind: obs.KindRetire, Addr: 0x100},
+		{Kind: obs.KindRetire, Addr: 0x13c},
 		{Kind: obs.KindLoopExit, Arg: 1},
 		{Kind: obs.KindLoopEnter, Arg: 2},
+		{Kind: obs.KindRetire, Addr: 0x140},
 		{Kind: obs.KindLoopExit, Arg: 2},
+		{Kind: obs.KindRetire, Addr: 0x180},
 	}
 	if len(p.events) != len(want) {
-		t.Fatalf("events = %+v, want %d transitions", p.events, len(want))
+		t.Fatalf("events = %+v, want %d", p.events, len(want))
 	}
 	for i, e := range p.events {
-		if e.Kind != want[i].Kind || e.Arg != want[i].Arg {
-			t.Errorf("event %d = {%v %d}, want {%v %d}", i, e.Kind, e.Arg, want[i].Kind, want[i].Arg)
+		if e.Kind != want[i].Kind || e.Arg != want[i].Arg || e.Addr != want[i].Addr {
+			t.Errorf("event %d = {%v arg %d addr %#x}, want {%v arg %d addr %#x}",
+				i, e.Kind, e.Arg, e.Addr, want[i].Kind, want[i].Arg, want[i].Addr)
 		}
 	}
 }

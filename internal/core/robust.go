@@ -8,15 +8,53 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"pipesim/internal/isa"
 	"pipesim/internal/obs"
-	"pipesim/internal/trace"
 )
 
-// RetireTraceDepth is how many recently retired instructions the simulator
-// keeps for machine-check and deadlock diagnostics.
+// RetireTraceDepth is the most recently retired instructions a
+// machine-check or deadlock error carries.
 const RetireTraceDepth = 32
+
+// Retired is one retired instruction: the cycle it retired in, its PC and
+// the instruction, decoded again from the program image.
+type Retired struct {
+	Cycle uint64
+	PC    uint32
+	Inst  isa.Inst
+}
+
+// String formats the instruction as one trace line.
+func (r Retired) String() string {
+	return fmt.Sprintf("%10d  %05x  %s", r.Cycle, r.PC, r.Inst)
+}
+
+// DecodeRetire turns a KindRetire event into the instruction it retired,
+// decoded from the image the simulator runs (Image), so it serves the
+// native-format relayout too.
+func (s *Simulator) DecodeRetire(e obs.Event) Retired {
+	r := Retired{Cycle: e.Cycle, PC: e.Addr}
+	if w, _, ok := s.img.InstAt(e.Addr); ok {
+		r.Inst = isa.Decode(w)
+	}
+	return r
+}
+
+// retireTail rebuilds the newest RetireTraceDepth retirements, oldest
+// first, from a flight-recorder snapshot.
+func (s *Simulator) retireTail(recent []obs.Event) []Retired {
+	var tail []Retired
+	for i := len(recent) - 1; i >= 0 && len(tail) < RetireTraceDepth; i-- {
+		if recent[i].Kind == obs.KindRetire {
+			tail = append(tail, s.DecodeRetire(recent[i]))
+		}
+	}
+	slices.Reverse(tail)
+	return tail
+}
 
 // DefaultWatchdogCycles is the forward-progress watchdog window used when
 // Config.WatchdogCycles is zero: the longest a run may go without retiring
@@ -37,15 +75,19 @@ const DefaultMaxCycles = 500_000_000
 // reproduce and diagnose the fault without a debugger. Callers sweeping
 // many configurations can log it and move on; the process never crashes.
 type MachineCheckError struct {
-	PanicValue   any           // the recovered panic value
-	Stack        string        // goroutine stack captured at the recovery point
-	Cycle        uint64        // cycle during which the panic escaped
-	PC           uint32        // PC of the most recently retired instruction
-	Instructions uint64        // instructions retired before the fault
-	Strategy     string        // fetch strategy name
-	Config       Config        // the offending configuration
-	Trace        []trace.Event // recently retired instructions, oldest first
-	Recent       []obs.Event   // flight-recorder tail: recent probe events, oldest first
+	PanicValue   any    // the recovered panic value
+	Stack        string // goroutine stack captured at the recovery point
+	Cycle        uint64 // cycle during which the panic escaped
+	PC           uint32 // PC of the most recently retired instruction (last Trace entry; 0 without one)
+	Instructions uint64 // instructions retired before the fault
+	Strategy     string // fetch strategy name
+	Config       Config // the offending configuration
+	// Trace holds up to RetireTraceDepth recently retired instructions,
+	// oldest first, read from the flight recorder's retire events. It is
+	// empty when the recorder is off (Config.FlightRecDepth < 0), and
+	// shorter when other events crowded retirements out of the ring.
+	Trace  []Retired
+	Recent []obs.Event // flight-recorder tail: recent probe events, oldest first
 }
 
 // Error summarizes the machine check in one line.
@@ -107,16 +149,20 @@ func writeRecent(sb *strings.Builder, recent []obs.Event) {
 // machine is stuck (e.g. an issue stall on an empty Load Data Queue with no
 // load in flight).
 type DeadlockError struct {
-	Cycle        uint64        // cycle at which the watchdog fired
-	LastProgress uint64        // last cycle that retired an instruction (0 = never)
-	Window       uint64        // the watchdog window that elapsed
-	Instructions uint64        // instructions retired before the stall
-	Strategy     string        // fetch strategy name
-	FetchState   string        // fetch-engine occupancy and cursor state
-	CPUState     string        // architectural queue occupancy and pipeline state
-	MemState     string        // memory-system queue occupancy
-	Trace        []trace.Event // recently retired instructions, oldest first
-	Recent       []obs.Event   // flight-recorder tail: recent probe events, oldest first
+	Cycle        uint64 // cycle at which the watchdog fired
+	LastProgress uint64 // last cycle that retired an instruction (0 = never)
+	Window       uint64 // the watchdog window that elapsed
+	Instructions uint64 // instructions retired before the stall
+	Strategy     string // fetch strategy name
+	FetchState   string // fetch-engine occupancy and cursor state
+	CPUState     string // architectural queue occupancy and pipeline state
+	MemState     string // memory-system queue occupancy
+	// Trace holds up to RetireTraceDepth recently retired instructions,
+	// oldest first, read from the flight recorder's retire events. It is
+	// empty when the recorder is off (Config.FlightRecDepth < 0), and
+	// shorter when other events crowded retirements out of the ring.
+	Trace  []Retired
+	Recent []obs.Event // flight-recorder tail: recent probe events, oldest first
 }
 
 // Error summarizes the deadlock in one line.
@@ -145,15 +191,16 @@ func (e *DeadlockError) Detail() string {
 // machineCheck wraps a recovered panic in a MachineCheckError with the
 // run's current context.
 func (s *Simulator) machineCheck(p any, stack []byte) *MachineCheckError {
+	recent := s.sink.FlightEvents()
 	e := &MachineCheckError{
 		PanicValue:   p,
 		Stack:        string(stack),
-		Cycle:        s.cycle,
+		Cycle:        s.sink.Cycle,
 		Instructions: s.st.CPU.Instructions,
 		Strategy:     s.cfg.Fetch.String(),
 		Config:       s.cfg,
-		Trace:        s.ring.Events(),
-		Recent:       s.flight.Events(),
+		Trace:        s.retireTail(recent),
+		Recent:       recent,
 	}
 	if n := len(e.Trace); n > 0 {
 		e.PC = e.Trace[n-1].PC
@@ -163,6 +210,7 @@ func (s *Simulator) machineCheck(p any, stack []byte) *MachineCheckError {
 
 // deadlock builds the watchdog's diagnosis of a stalled run.
 func (s *Simulator) deadlock(cycle, lastProgress, window uint64) *DeadlockError {
+	recent := s.sink.FlightEvents()
 	return &DeadlockError{
 		Cycle:        cycle,
 		LastProgress: lastProgress,
@@ -172,7 +220,7 @@ func (s *Simulator) deadlock(cycle, lastProgress, window uint64) *DeadlockError 
 		FetchState:   s.eng.DebugState(),
 		CPUState:     s.cpu.DebugState(),
 		MemState:     s.sys.DebugState(),
-		Trace:        s.ring.Events(),
-		Recent:       s.flight.Events(),
+		Trace:        s.retireTail(recent),
+		Recent:       recent,
 	}
 }

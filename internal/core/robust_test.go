@@ -12,7 +12,6 @@ import (
 	"pipesim/internal/core"
 	"pipesim/internal/obs"
 	"pipesim/internal/program"
-	"pipesim/internal/trace"
 )
 
 // saveFlightArtifact writes the flight-recorder tail as Chrome-trace JSON
@@ -117,12 +116,13 @@ func TestWatchdogDefaultsAreSane(t *testing.T) {
 	}
 }
 
-// panicRecorder panics when it sees a retirement, simulating an internal
-// inconsistency detected mid-cycle deep inside the simulator.
+// panicRecorder is a probe that panics when it sees a retirement,
+// simulating an internal inconsistency detected mid-cycle deep inside the
+// simulator.
 type panicRecorder struct{ after uint64 }
 
-func (p *panicRecorder) Record(e trace.Event) {
-	if e.Cycle >= p.after {
+func (p *panicRecorder) Event(e obs.Event) {
+	if e.Kind == obs.KindRetire && e.Cycle >= p.after {
 		panic("injected simulator fault")
 	}
 }
@@ -133,7 +133,7 @@ func TestRunRecoversPanicsAsMachineCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetRetireTracer(&panicRecorder{after: 20})
+	sim.SetProbe(&panicRecorder{after: 20})
 	_, err = sim.Run()
 	var mce *core.MachineCheckError
 	if !errors.As(err, &mce) {
@@ -154,7 +154,7 @@ func TestRunRecoversPanicsAsMachineCheck(t *testing.T) {
 	if mce.PC == 0 {
 		t.Error("machine check lost the PC")
 	}
-	if !strings.Contains(mce.Stack, "Record") {
+	if !strings.Contains(mce.Stack, "panicRecorder).Event") {
 		t.Error("stack does not show the faulting frame")
 	}
 	for _, want := range []string{"machine check", "cycle", "pipe", "injected simulator fault"} {
@@ -170,8 +170,8 @@ func TestRunRecoversPanicsAsMachineCheck(t *testing.T) {
 	}
 }
 
-// TestRunStillCompletesWithUserTracer guards the ring/user-tracer fan-out:
-// installing a tracer must not perturb results.
+// TestRunStillCompletesWithUserTracer guards the flight-ring/probe fan-out:
+// a probe tracing retirements must not perturb results.
 func TestRunStillCompletesWithUserTracer(t *testing.T) {
 	base, err := core.New(core.DefaultConfig(), smallProgram(t))
 	if err != nil {
@@ -185,11 +185,12 @@ func TestRunStillCompletesWithUserTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := trace.NewRing(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced.SetRetireTracer(ring)
+	var retires uint64
+	traced.SetProbe(obs.ProbeFunc(func(e obs.Event) {
+		if e.Kind == obs.KindRetire {
+			retires++
+		}
+	}))
 	stTraced, err := traced.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +199,8 @@ func TestRunStillCompletesWithUserTracer(t *testing.T) {
 		t.Errorf("tracer changed the run: %d/%d cycles, %d/%d instructions",
 			stBase.Cycles, stTraced.Cycles, stBase.CPU.Instructions, stTraced.CPU.Instructions)
 	}
-	if ring.Total() != stTraced.CPU.Instructions {
-		t.Errorf("user tracer saw %d retirements of %d", ring.Total(), stTraced.CPU.Instructions)
+	if retires != stTraced.CPU.Instructions {
+		t.Errorf("probe saw %d retirements of %d", retires, stTraced.CPU.Instructions)
 	}
 }
 
@@ -249,7 +250,7 @@ func TestMachineCheckErrorCarriesFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetRetireTracer(&panicRecorder{after: 20})
+	sim.SetProbe(&panicRecorder{after: 20})
 	_, err = sim.Run()
 	var mce *core.MachineCheckError
 	if !errors.As(err, &mce) {
@@ -290,5 +291,42 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	}
 	if strings.Contains(dl.Detail(), "flight recorder") {
 		t.Error("Detail() renders a flight-recorder section with the recorder off")
+	}
+}
+
+// TestRetireTailKeepsMostRecent checks the deadlock's retire tail against
+// the full retirement stream a probe saw: a long run keeps exactly the last
+// RetireTraceDepth retirements, oldest first, and a run that retired fewer
+// keeps them all.
+func TestRetireTailKeepsMostRecent(t *testing.T) {
+	stuckLoop, err := asm.Assemble(stuckAfterLoopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range []*program.Image{stuckLoop, stuckProgram(t)} {
+		cfg := core.DefaultConfig()
+		cfg.WatchdogCycles = 2_000
+		sim, err := core.New(cfg, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := recordRetires(sim)
+		_, err = sim.Run()
+		var dl *core.DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("Run err = %v, want *DeadlockError", err)
+		}
+		want := rec.events
+		if len(want) > core.RetireTraceDepth {
+			want = want[len(want)-core.RetireTraceDepth:]
+		}
+		if len(dl.Trace) != len(want) {
+			t.Fatalf("tail holds %d retirements, want %d", len(dl.Trace), len(want))
+		}
+		for i := range want {
+			if dl.Trace[i] != want[i] {
+				t.Errorf("tail[%d] = %v, want %v", i, dl.Trace[i], want[i])
+			}
+		}
 	}
 }

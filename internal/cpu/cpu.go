@@ -36,7 +36,6 @@ import (
 	"pipesim/internal/program"
 	"pipesim/internal/queue"
 	"pipesim/internal/stats"
-	"pipesim/internal/trace"
 )
 
 // Config sizes the architectural queues and the optional on-chip data
@@ -174,23 +173,11 @@ type CPU struct {
 	dcache *cache.Cache
 	dhits  []dcacheHit // hits delivering next cycle
 
-	// OnRetire, when set, observes every retired instruction (used by the
-	// tracing facility). It must not mutate simulator state.
-	OnRetire func(cycle uint64, pc uint32, in isa.Inst)
-
-	// retireRing and flight receive every retirement directly when set.
-	// They cover the standard observability configuration (diagnostic
-	// trace ring + flight recorder) without paying for an OnRetire
-	// closure, which the core installs only when a user tracer or probe
-	// needs the full event.
-	retireRing *trace.Ring
-	flight     *obs.FlightRecorder
-
-	// probe, when set, receives typed observability events; the per-cycle
-	// attribution event (obs.KindCycle) is emitted exactly once per Tick.
-	// lastDepth tracks the last-emitted occupancy of each architectural
+	// sink receives every retirement and, while a probe is attached, the
+	// per-cycle attribution event (obs.KindCycle, exactly once per Tick).
+	// lastDepth tracks the last-sampled occupancy of each architectural
 	// queue so depth events fire only on change.
-	probe     obs.Probe
+	sink      *obs.Sink
 	lastDepth [obs.NumQueues]int
 
 	// Single-level interrupt state (paper §3.1: "a single-level
@@ -208,8 +195,9 @@ type CPU struct {
 	pbrInFlight int  // PBRs consumed but not yet resolved
 }
 
-// New builds a CPU reading instructions from eng and memory through sys.
-func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU) (*CPU, error) {
+// New builds a CPU reading instructions from eng and memory through sys,
+// reporting its events to sink.
+func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU, sink *obs.Sink) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -243,13 +231,17 @@ func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU) (*CPU, er
 		sdq:     sdq,
 		arrived: make([]arrivedSlot, cfg.LDQDepth),
 		fst:     eng.Stats(),
+		sink:    sink,
+	}
+	for i := range c.lastDepth {
+		c.lastDepth[i] = -1
 	}
 	if cfg.DCacheBytes > 0 {
 		line := cfg.DCacheLineBytes
 		if line == 0 {
 			line = 16
 		}
-		dc, err := cache.New(cfg.DCacheBytes, line, 4)
+		dc, err := cache.New(cfg.DCacheBytes, line, 4, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -269,22 +261,6 @@ func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU) (*CPU, er
 // program.Image.Decoded). Fixed-format images only; pass nil to decode from
 // the instruction word on every consume.
 func (c *CPU) SetDecodeTable(dec []isa.Inst) { c.dec = dec }
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (c *CPU) SetProbe(p obs.Probe) {
-	c.probe = p
-	for i := range c.lastDepth {
-		c.lastDepth[i] = -1
-	}
-}
-
-// SetRetireSinks attaches the direct retirement observers: the diagnostic
-// trace ring and the flight recorder (either may be nil). They fire before
-// OnRetire for every retired instruction.
-func (c *CPU) SetRetireSinks(ring *trace.Ring, fr *obs.FlightRecorder) {
-	c.retireRing = ring
-	c.flight = fr
-}
 
 // Halted reports whether the HALT instruction has retired.
 func (c *CPU) Halted() bool { return c.halted }
@@ -360,7 +336,7 @@ func (c *CPU) Tick() {
 	c.account(bucket)
 	c.maybeEnterInterrupt()
 	c.dispatchMemory()
-	if c.probe != nil {
+	if c.sink.Probing() {
 		c.sampleQueues()
 	}
 }
@@ -505,9 +481,7 @@ func (c *CPU) FoldStall(p StallProfile, n uint64) {
 func (c *CPU) account(bucket stats.CycleBucket) {
 	c.st.CycleBuckets[bucket]++
 	c.lastBucket = bucket
-	if c.probe != nil {
-		c.probe.Event(obs.Event{Kind: obs.KindCycle, Arg: uint32(bucket)})
-	}
+	c.sink.Sample(obs.Event{Kind: obs.KindCycle, Arg: uint32(bucket)})
 }
 
 // MaybeStalled reports whether the cycle just ticked was attributed to a
@@ -529,7 +503,7 @@ func (c *CPU) sampleQueues() {
 			return
 		}
 		c.lastDepth[q] = n
-		c.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(q), Value: uint64(n)})
+		c.sink.Sample(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(q), Value: uint64(n)})
 	}
 	sample(obs.QueueLAQ, c.laq.Len())
 	sample(obs.QueueLDQ, c.ldq.Len())
@@ -562,15 +536,7 @@ func (c *CPU) retire() {
 	}
 	in := c.ex2.in
 	c.st.Instructions++
-	if c.retireRing != nil {
-		c.retireRing.Record(trace.Event{Cycle: c.cycle, PC: c.ex2.pc, Inst: in})
-	}
-	if c.flight != nil {
-		c.flight.Record(obs.KindRetire, c.ex2.pc, 0, 0)
-	}
-	if c.OnRetire != nil {
-		c.OnRetire(c.cycle, c.ex2.pc, in)
-	}
+	c.sink.Emit(obs.Event{Kind: obs.KindRetire, Addr: c.ex2.pc})
 	switch in.Op {
 	case isa.OpHALT:
 		c.halted = true

@@ -67,42 +67,14 @@ type Conv struct {
 	capAddr  uint32
 	capValid bool
 
-	probe  obs.Probe
-	flight *obs.FlightRecorder
-	intr   *cache.Introspector
-}
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (c *Conv) SetProbe(p obs.Probe) { c.probe = p }
-
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-func (c *Conv) SetFlightRecorder(r *obs.FlightRecorder) { c.flight = r }
-
-// SetIntrospector attaches the cache-introspection shadow models (nil
-// detaches). The engine feeds it every demand reference at its own hit/miss
-// accounting sites, so the shadows' per-class counts sum to CacheMisses.
-func (c *Conv) SetIntrospector(in *cache.Introspector) { c.intr = in }
-
-// emit sends an event to the flight recorder and, when attached, the probe.
-func (c *Conv) emit(kind obs.Kind, addr uint32) {
-	c.emitArg(kind, addr, 0)
-}
-
-// emitArg is emit with a kind-specific Arg payload (the 3C miss class on
-// classified KindCacheMiss events).
-func (c *Conv) emitArg(kind obs.Kind, addr, arg uint32) {
-	if c.flight != nil {
-		c.flight.Record(kind, addr, arg, 0)
-	}
-	if c.probe != nil {
-		c.probe.Event(obs.Event{Kind: kind, Addr: addr, Arg: arg})
-	}
+	sink *obs.Sink
 }
 
 var _ Engine = (*Conv)(nil)
 
-// NewConv builds a conventional always-prefetch engine starting at pc.
-func NewConv(cfg ConvConfig, cacheArr *cache.Cache, img *program.Image, sys *mem.System, pc uint32) (*Conv, error) {
+// NewConv builds a conventional always-prefetch engine starting at pc,
+// reporting its events to sink.
+func NewConv(cfg ConvConfig, cacheArr *cache.Cache, img *program.Image, sys *mem.System, pc uint32, sink *obs.Sink) (*Conv, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -113,7 +85,7 @@ func NewConv(cfg ConvConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 	if cacheArr.SubBlockBytes() != wantSub {
 		return nil, fmt.Errorf("fetch: conventional cache needs %d-byte sub-blocks for this image format", wantSub)
 	}
-	c := &Conv{cfg: cfg, cache: cacheArr, img: img, sys: sys}
+	c := &Conv{cfg: cfg, cache: cacheArr, img: img, sys: sys, sink: sink}
 	c.str.reset(pc)
 	c.str.varlen = img.Native
 	c.onChunkWord = func(addr uint32, _ uint32, _ uint64) {
@@ -125,9 +97,9 @@ func NewConv(cfg ConvConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 	c.onChunkDone = func(_ uint64) {
 		c.outstanding = false
 		if c.outDemand {
-			c.emit(obs.KindFetchComplete, c.outChunk)
+			c.sink.Emit(obs.Event{Kind: obs.KindFetchComplete, Addr: c.outChunk})
 		} else {
-			c.emit(obs.KindPrefetchComplete, c.outChunk)
+			c.sink.Emit(obs.Event{Kind: obs.KindPrefetchComplete, Addr: c.outChunk})
 		}
 	}
 	return c, nil
@@ -186,10 +158,8 @@ func (c *Conv) Consume() {
 	}
 	c.st.SupplyCycles++
 	c.st.CacheHits++
-	if c.intr != nil {
-		c.intr.Reference(pc, true)
-	}
-	c.emit(obs.KindCacheHit, pc)
+	c.cache.Classify(pc, true)
+	c.sink.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: pc})
 	if c.capValid && c.capAddr == pc {
 		c.capValid = false
 	}
@@ -202,7 +172,7 @@ func (c *Conv) Resolve(taken bool, target uint32) {
 	c.str.resolve(taken, target)
 	if taken {
 		c.st.BranchFlushes++
-		c.emit(obs.KindBranchFlush, target)
+		c.sink.Emit(obs.Event{Kind: obs.KindBranchFlush, Addr: target})
 	}
 }
 
@@ -336,11 +306,8 @@ func (c *Conv) demand(pc uint32) {
 	}
 	c.st.CacheMisses++
 	c.st.LineFetches++
-	class := stats.MissUnclassified
-	if c.intr != nil {
-		class = c.intr.Reference(pc, false)
-	}
-	c.emitArg(obs.KindCacheMiss, pc, uint32(class))
+	class := c.cache.Classify(pc, false)
+	c.sink.Emit(obs.Event{Kind: obs.KindCacheMiss, Addr: pc, Arg: uint32(class)})
 	c.issue(chunk, true)
 }
 
@@ -360,9 +327,9 @@ func (c *Conv) issue(chunk uint32, demand bool) {
 		kind = stats.ReqIFetch
 	}
 	if demand {
-		c.emit(obs.KindFetchIssue, chunk)
+		c.sink.Emit(obs.Event{Kind: obs.KindFetchIssue, Addr: chunk})
 	} else {
-		c.emit(obs.KindPrefetchIssue, chunk)
+		c.sink.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Addr: chunk})
 	}
 	c.outstanding = true
 	c.outDemand = demand

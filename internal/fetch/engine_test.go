@@ -6,6 +6,7 @@ import (
 	"pipesim/internal/cache"
 	"pipesim/internal/isa"
 	"pipesim/internal/mem"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 	"pipesim/internal/stats"
 )
@@ -123,16 +124,16 @@ func memCfg(access, width int, pipelined bool) mem.Config {
 
 func newPipeEngine(t *testing.T, img *program.Image, mcfg mem.Config, pcfg PipeConfig, cacheBytes int) (*Pipe, *mem.System) {
 	t.Helper()
-	sys, err := mem.New(mcfg, img, nil)
+	sys, err := mem.New(mcfg, img, nil, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := cache.New(cacheBytes, pcfg.LineBytes, 4)
+	arr, err := cache.New(cacheBytes, pcfg.LineBytes, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pcfg.CacheBytes = cacheBytes
-	eng, err := NewPipe(pcfg, arr, img, sys, img.Entry)
+	eng, err := NewPipe(pcfg, arr, img, sys, img.Entry, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +142,15 @@ func newPipeEngine(t *testing.T, img *program.Image, mcfg mem.Config, pcfg PipeC
 
 func newConvEngine(t *testing.T, img *program.Image, mcfg mem.Config, cacheBytes, lineBytes int) (*Conv, *mem.System) {
 	t.Helper()
-	sys, err := mem.New(mcfg, img, nil)
+	sys, err := mem.New(mcfg, img, nil, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := cache.New(cacheBytes, lineBytes, 4)
+	arr, err := cache.New(cacheBytes, lineBytes, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewConv(ConvConfig{CacheBytes: cacheBytes, LineBytes: lineBytes, ChunkBytes: mcfg.BusWidthBytes}, arr, img, sys, img.Entry)
+	eng, err := NewConv(ConvConfig{CacheBytes: cacheBytes, LineBytes: lineBytes, ChunkBytes: mcfg.BusWidthBytes}, arr, img, sys, img.Entry, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"pipesim/internal/cache"
 	"pipesim/internal/isa"
 	"pipesim/internal/mem"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 )
 
@@ -33,18 +34,18 @@ func nativeImage(t *testing.T) *program.Image {
 
 func newNativePipe(t *testing.T, img *program.Image, mcfg mem.Config, cacheBytes, lineBytes int) (*Pipe, *mem.System) {
 	t.Helper()
-	sys, err := mem.New(mcfg, img, nil)
+	sys, err := mem.New(mcfg, img, nil, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := cache.New(cacheBytes, lineBytes, isa.ParcelBytes)
+	arr, err := cache.New(cacheBytes, lineBytes, isa.ParcelBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng, err := NewPipe(PipeConfig{
 		CacheBytes: cacheBytes, LineBytes: lineBytes,
 		IQBytes: lineBytes, IQBBytes: lineBytes, TruePrefetch: true,
-	}, arr, img, sys, img.Entry)
+	}, arr, img, sys, img.Entry, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +81,15 @@ func TestNativeStraddleOneLineCache(t *testing.T) {
 // way.
 func TestNativeConvStraddle(t *testing.T) {
 	img := nativeImage(t)
-	sys, err := mem.New(memCfg(6, 4, false), img, nil)
+	sys, err := mem.New(memCfg(6, 4, false), img, nil, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := cache.New(16, 16, isa.ParcelBytes)
+	arr, err := cache.New(16, 16, isa.ParcelBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewConv(ConvConfig{CacheBytes: 16, LineBytes: 16, ChunkBytes: 4}, arr, img, sys, img.Entry)
+	eng, err := NewConv(ConvConfig{CacheBytes: 16, LineBytes: 16, ChunkBytes: 4}, arr, img, sys, img.Entry, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,55 +103,18 @@ type Pipe struct {
 	capAddr  uint32
 	capValid bool
 
-	// probe, when set, observes fetch events; lastIQ/lastIQB track the
-	// last-emitted queue occupancies so depth events fire only on change.
-	probe   obs.Probe
+	// sink receives the engine's events; lastIQ/lastIQB track the
+	// last-sampled queue occupancies so depth events fire only on change.
+	sink    *obs.Sink
 	lastIQ  int
 	lastIQB int
-
-	// flight is the always-on post-mortem ring (concrete type, see
-	// Engine.SetFlightRecorder).
-	flight *obs.FlightRecorder
-
-	// intr, when set, is the cache-introspection shadow model fed at the
-	// engine's hit/miss accounting sites (see Engine.SetIntrospector).
-	intr *cache.Introspector
-}
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (p *Pipe) SetProbe(pr obs.Probe) {
-	p.probe = pr
-	p.lastIQ, p.lastIQB = -1, -1
-}
-
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-func (p *Pipe) SetFlightRecorder(r *obs.FlightRecorder) { p.flight = r }
-
-// SetIntrospector attaches the cache-introspection shadow models (nil
-// detaches). References ride the same accounting sites as the CacheHits /
-// CacheMisses counters, so the shadows' per-class totals sum to CacheMisses.
-func (p *Pipe) SetIntrospector(in *cache.Introspector) { p.intr = in }
-
-// emit sends an event to the flight recorder and, when attached, the probe.
-func (p *Pipe) emit(kind obs.Kind, addr uint32) {
-	p.emitArg(kind, addr, 0)
-}
-
-// emitArg is emit with a kind-specific Arg payload (the 3C miss class on
-// classified KindCacheMiss events).
-func (p *Pipe) emitArg(kind obs.Kind, addr, arg uint32) {
-	if p.flight != nil {
-		p.flight.Record(kind, addr, arg, 0)
-	}
-	if p.probe != nil {
-		p.probe.Event(obs.Event{Kind: kind, Addr: addr, Arg: arg})
-	}
 }
 
 var _ Engine = (*Pipe)(nil)
 
-// NewPipe builds a PIPE fetch engine starting at entry pc.
-func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem.System, pc uint32) (*Pipe, error) {
+// NewPipe builds a PIPE fetch engine starting at entry pc, reporting its
+// events to sink.
+func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem.System, pc uint32, sink *obs.Sink) (*Pipe, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,12 +130,15 @@ func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 		return nil, fmt.Errorf("fetch: IQB: %w", err)
 	}
 	p := &Pipe{
-		cfg:   cfg,
-		cache: cacheArr,
-		img:   img,
-		sys:   sys,
-		iq:    iq,
-		iqb:   iqb,
+		cfg:     cfg,
+		cache:   cacheArr,
+		img:     img,
+		sys:     sys,
+		iq:      iq,
+		iqb:     iqb,
+		sink:    sink,
+		lastIQ:  -1,
+		lastIQB: -1,
 	}
 	p.str.reset(pc)
 	p.str.varlen = img.Native
@@ -203,9 +169,9 @@ func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 		p.inflight = false
 		p.inflightInsert = false
 		if p.inflightDemand {
-			p.emit(obs.KindFetchComplete, p.inflightLine)
+			p.sink.Emit(obs.Event{Kind: obs.KindFetchComplete, Addr: p.inflightLine})
 		} else {
-			p.emit(obs.KindPrefetchComplete, p.inflightLine)
+			p.sink.Emit(obs.Event{Kind: obs.KindPrefetchComplete, Addr: p.inflightLine})
 		}
 	}
 	return p, nil
@@ -270,7 +236,7 @@ func (p *Pipe) Resolve(taken bool, target uint32) {
 		return
 	}
 	p.st.BranchFlushes++
-	p.emit(obs.KindBranchFlush, target)
+	p.sink.Emit(obs.Event{Kind: obs.KindBranchFlush, Addr: target})
 	if p.img.Native {
 		// Window-end addresses are unknowable in the variable-length
 		// format, so the early trim is skipped: the fetch path keeps
@@ -409,7 +375,7 @@ func (p *Pipe) Tick() {
 	}
 	p.fillIQBFromCache()
 	p.refillIQ()
-	if p.probe != nil {
+	if p.sink.Probing() {
 		p.sampleQueues()
 	}
 }
@@ -493,11 +459,11 @@ func (p *Pipe) refillActive() bool {
 func (p *Pipe) sampleQueues() {
 	if n := p.iq.Len(); n != p.lastIQ {
 		p.lastIQ = n
-		p.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQ), Value: uint64(n)})
+		p.sink.Sample(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQ), Value: uint64(n)})
 	}
 	if n := p.iqb.Len(); n != p.lastIQB {
 		p.lastIQB = n
-		p.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQB), Value: uint64(n)})
+		p.sink.Sample(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQB), Value: uint64(n)})
 	}
 }
 
@@ -549,10 +515,8 @@ func (p *Pipe) fillIQBFromCache() {
 	}
 	if p.cache.LookupLine(p.fetchAddr) {
 		p.st.CacheHits++
-		if p.intr != nil {
-			p.intr.Reference(p.fetchAddr, true)
-		}
-		p.emit(obs.KindCacheHit, p.fetchAddr)
+		p.cache.Classify(p.fetchAddr, true)
+		p.sink.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: p.fetchAddr})
 		stop, hasStop := p.stopAt()
 		lineEnd := lineAddr + uint32(p.cfg.LineBytes)
 		for a := p.fetchAddr; a < lineEnd; a += isa.WordBytes {
@@ -585,24 +549,21 @@ func (p *Pipe) requestLine(lineAddr uint32) {
 		// end.
 		if limit, bounded := p.guaranteeEnd(); bounded && p.fetchAddr >= limit {
 			p.st.PrefetchBlocks++
-			p.emit(obs.KindPrefetchBlocked, p.fetchAddr)
+			p.sink.Emit(obs.Event{Kind: obs.KindPrefetchBlocked, Addr: p.fetchAddr})
 			return
 		}
 	}
 	p.st.CacheMisses++
-	class := stats.MissUnclassified
-	if p.intr != nil {
-		class = p.intr.Reference(p.fetchAddr, false)
-	}
-	p.emitArg(obs.KindCacheMiss, p.fetchAddr, uint32(class))
+	class := p.cache.Classify(p.fetchAddr, false)
+	p.sink.Emit(obs.Event{Kind: obs.KindCacheMiss, Addr: p.fetchAddr, Arg: uint32(class)})
 	kind := stats.ReqIPrefetch
 	if demand {
 		kind = stats.ReqIFetch
 		p.st.LineFetches++
-		p.emit(obs.KindFetchIssue, lineAddr)
+		p.sink.Emit(obs.Event{Kind: obs.KindFetchIssue, Addr: lineAddr})
 	} else {
 		p.st.Prefetches++
-		p.emit(obs.KindPrefetchIssue, lineAddr)
+		p.sink.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Addr: lineAddr})
 	}
 	p.inflight = true
 	p.inflightLine = lineAddr
@@ -683,10 +644,8 @@ func (p *Pipe) fillNative() {
 	start := p.fetchAddr
 	if p.drainNative() {
 		p.st.CacheHits++
-		if p.intr != nil {
-			p.intr.Reference(start, true)
-		}
-		p.emit(obs.KindCacheHit, start)
+		p.cache.Classify(start, true)
+		p.sink.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: start})
 		return
 	}
 	if p.iqb.Full() {

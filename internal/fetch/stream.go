@@ -18,9 +18,7 @@ package fetch
 import (
 	"fmt"
 
-	"pipesim/internal/cache"
 	"pipesim/internal/isa"
-	"pipesim/internal/obs"
 	"pipesim/internal/stats"
 )
 
@@ -57,25 +55,6 @@ type Engine interface {
 	ResumePC() uint32
 	// Stats returns the engine's activity counters.
 	Stats() *stats.Fetch
-	// SetProbe attaches an observability probe receiving the engine's
-	// typed events (cache hits/misses, fetch and prefetch issue/complete,
-	// blocked prefetches, branch flushes, queue occupancy). Call before
-	// the first Tick; a nil probe disables emission.
-	SetProbe(p obs.Probe)
-	// SetFlightRecorder attaches the always-on post-mortem event ring (a
-	// concrete type, not a Probe: the recorder must stay cheap enough to
-	// leave enabled on every run). Call before the first Tick; nil
-	// detaches. Engines record their cache, fetch/prefetch and flush
-	// events; queue-occupancy samples are deliberately excluded (too
-	// frequent to be worth their ring slots).
-	SetFlightRecorder(r *obs.FlightRecorder)
-	// SetIntrospector attaches the cache-introspection shadow models (a
-	// concrete type, like the flight recorder: the classification call
-	// rides the engine's own hit/miss accounting sites, so the per-class
-	// counts sum exactly to the Stats CacheMisses counter). Call before the
-	// first Tick; nil detaches. Engines without a cache array (TIB) ignore
-	// the call.
-	SetIntrospector(in *cache.Introspector)
 	// DebugState renders the engine's occupancy and cursor state in one
 	// line, for deadlock and machine-check diagnostics.
 	DebugState() string

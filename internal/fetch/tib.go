@@ -3,7 +3,6 @@ package fetch
 import (
 	"fmt"
 
-	"pipesim/internal/cache"
 	"pipesim/internal/isa"
 	"pipesim/internal/mem"
 	"pipesim/internal/obs"
@@ -76,38 +75,15 @@ type TIB struct {
 	onLineWord func(addr uint32, word uint32, seq uint64)
 	onLineDone func(seq uint64)
 
-	probe   obs.Probe
-	lastBuf int
-	flight  *obs.FlightRecorder
-}
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (t *TIB) SetProbe(p obs.Probe) {
-	t.probe = p
-	t.lastBuf = -1
-}
-
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-func (t *TIB) SetFlightRecorder(r *obs.FlightRecorder) { t.flight = r }
-
-// SetIntrospector is a no-op: the TIB front end has no shared cache array,
-// so the 3C shadow models do not apply to it.
-func (t *TIB) SetIntrospector(*cache.Introspector) {}
-
-// emit sends an event to the flight recorder and, when attached, the probe.
-func (t *TIB) emit(kind obs.Kind, addr uint32) {
-	if t.flight != nil {
-		t.flight.Record(kind, addr, 0, 0)
-	}
-	if t.probe != nil {
-		t.probe.Event(obs.Event{Kind: kind, Addr: addr})
-	}
+	sink    *obs.Sink
+	lastBuf int // last-sampled buffer occupancy
 }
 
 var _ Engine = (*TIB)(nil)
 
-// NewTIB builds a TIB front end starting at pc.
-func NewTIB(cfg TIBConfig, img *program.Image, sys *mem.System, pc uint32) (*TIB, error) {
+// NewTIB builds a TIB front end starting at pc, reporting its events to
+// sink.
+func NewTIB(cfg TIBConfig, img *program.Image, sys *mem.System, pc uint32, sink *obs.Sink) (*TIB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,6 +100,8 @@ func NewTIB(cfg TIBConfig, img *program.Image, sys *mem.System, pc uint32) (*TIB
 		sys:     sys,
 		buf:     buf,
 		entries: make([]tibEntry, cfg.Entries),
+		sink:    sink,
+		lastBuf: -1,
 	}
 	t.str.reset(pc)
 	t.fetchAddr = pc
@@ -146,9 +124,9 @@ func NewTIB(cfg TIBConfig, img *program.Image, sys *mem.System, pc uint32) (*TIB
 	t.onLineDone = func(_ uint64) {
 		t.inflight = false
 		if t.inflightDemand {
-			t.emit(obs.KindFetchComplete, t.inflightFrom)
+			t.sink.Emit(obs.Event{Kind: obs.KindFetchComplete, Addr: t.inflightFrom})
 		} else {
-			t.emit(obs.KindPrefetchComplete, t.inflightFrom)
+			t.sink.Emit(obs.Event{Kind: obs.KindPrefetchComplete, Addr: t.inflightFrom})
 		}
 	}
 	return t, nil
@@ -198,7 +176,7 @@ func (t *TIB) Resolve(taken bool, target uint32) {
 	}
 	if taken {
 		t.st.BranchFlushes++
-		t.emit(obs.KindBranchFlush, target)
+		t.sink.Emit(obs.Event{Kind: obs.KindBranchFlush, Addr: target})
 	}
 }
 
@@ -224,7 +202,7 @@ func (t *TIB) redirect(target uint32) {
 	t.allocActive = false
 	if idx := t.lookup(target); idx >= 0 {
 		t.st.CacheHits++
-		t.emit(obs.KindCacheHit, target)
+		t.sink.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: target})
 		e := &t.entries[idx]
 		for i, w := range e.words {
 			t.buf.MustPush(entry{addr: target + uint32(i*isa.WordBytes), word: w})
@@ -233,7 +211,7 @@ func (t *TIB) redirect(target uint32) {
 		return
 	}
 	t.st.CacheMisses++
-	t.emit(obs.KindCacheMiss, target)
+	t.sink.Emit(obs.Event{Kind: obs.KindCacheMiss, Addr: target})
 	t.fetchAddr = target
 	// Allocate a TIB entry for this target (FIFO replacement) and fill it
 	// from the arriving stream.
@@ -258,10 +236,10 @@ func (t *TIB) lookup(target uint32) int {
 // Tick keeps the sequential stream flowing: one outstanding line-sized
 // fetch whenever the buffer has room.
 func (t *TIB) Tick() {
-	if t.probe != nil {
+	if t.sink.Probing() {
 		if n := t.buf.Len(); n != t.lastBuf {
 			t.lastBuf = n
-			t.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueTIB), Value: uint64(n)})
+			t.sink.Sample(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueTIB), Value: uint64(n)})
 		}
 	}
 	if t.str.halted || t.inflight {
@@ -277,10 +255,10 @@ func (t *TIB) Tick() {
 	if demand {
 		kind = stats.ReqIFetch
 		t.st.LineFetches++
-		t.emit(obs.KindFetchIssue, t.fetchAddr)
+		t.sink.Emit(obs.Event{Kind: obs.KindFetchIssue, Addr: t.fetchAddr})
 	} else {
 		t.st.Prefetches++
-		t.emit(obs.KindPrefetchIssue, t.fetchAddr)
+		t.sink.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Addr: t.fetchAddr})
 	}
 	t.inflight = true
 	t.inflightFrom = t.fetchAddr

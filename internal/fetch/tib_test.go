@@ -5,16 +5,17 @@ import (
 
 	"pipesim/internal/isa"
 	"pipesim/internal/mem"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 )
 
 func newTIBEngine(t *testing.T, img *program.Image, mcfg mem.Config, entries, lineBytes int) (*TIB, *mem.System) {
 	t.Helper()
-	sys, err := mem.New(mcfg, img, nil)
+	sys, err := mem.New(mcfg, img, nil, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewTIB(TIBConfig{Entries: entries, LineBytes: lineBytes}, img, sys, img.Entry)
+	eng, err := NewTIB(TIBConfig{Entries: entries, LineBytes: lineBytes}, img, sys, img.Entry, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

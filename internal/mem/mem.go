@@ -218,32 +218,20 @@ type System struct {
 	// invoked via the normal input-bus delivery path.
 	FPUSink func(seq uint64, value uint32)
 
-	// probe, when set, observes bus transfers and request acceptances.
-	probe obs.Probe
-
-	// flight, when set, keeps bus transfers and request acceptances in the
-	// always-on post-mortem ring (concrete type: the Probe interface
-	// dispatch is too slow for an always-on path).
-	flight *obs.FlightRecorder
+	// sink receives bus transfers and request acceptances.
+	sink *obs.Sink
 }
 
-// SetProbe attaches an observability probe. Call before the first cycle.
-func (s *System) SetProbe(p obs.Probe) { s.probe = p }
-
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-// Call before the first cycle.
-func (s *System) SetFlightRecorder(r *obs.FlightRecorder) { s.flight = r }
-
 // New builds a memory system preloaded with the program image's text and
-// data segments.
-func New(cfg Config, img *program.Image, st *stats.Mem) (*System, error) {
+// data segments, reporting its events to sink.
+func New(cfg Config, img *program.Image, st *stats.Mem, sink *obs.Sink) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if st == nil {
 		st = &stats.Mem{}
 	}
-	s := &System{cfg: cfg, st: st, nextInflightAt: NoEvent, nextFPUAt: NoEvent}
+	s := &System{cfg: cfg, st: st, sink: sink, nextInflightAt: NoEvent, nextFPUAt: NoEvent}
 	for i, w := range img.RAMWords() {
 		s.WriteWord(program.TextBase+uint32(i)*4, w)
 	}
@@ -471,13 +459,8 @@ func (s *System) deliver() {
 					s.st.WordsDelivered++
 				}
 				if f.delivered > wordsBefore {
-					if s.flight != nil {
-						s.flight.Record(obs.KindBusBusy, f.req.Addr, 0, uint64(f.delivered-wordsBefore))
-					}
-					if s.probe != nil {
-						s.probe.Event(obs.Event{Kind: obs.KindBusBusy, Addr: f.req.Addr,
-							Value: uint64(f.delivered - wordsBefore)})
-					}
+					s.sink.Emit(obs.Event{Kind: obs.KindBusBusy, Addr: f.req.Addr,
+						Value: uint64(f.delivered - wordsBefore)})
 				}
 			}
 		}
@@ -585,12 +568,7 @@ func (s *System) accept() {
 func (s *System) start(r *Request) {
 	r.accepted = true
 	s.st.Accepted[r.Kind]++
-	if s.flight != nil {
-		s.flight.Record(obs.KindMemAccept, r.Addr, uint32(r.Kind), 0)
-	}
-	if s.probe != nil {
-		s.probe.Event(obs.Event{Kind: obs.KindMemAccept, Addr: r.Addr, Arg: uint32(r.Kind)})
-	}
+	s.sink.Emit(obs.Event{Kind: obs.KindMemAccept, Addr: r.Addr, Arg: uint32(r.Kind)})
 	T := uint64(s.cfg.AccessTime)
 	if r.Store {
 		done := s.cycle + T

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 	"pipesim/internal/stats"
 )
@@ -28,7 +29,7 @@ func testImage(t *testing.T) *program.Image {
 func newSys(t *testing.T, cfg Config) (*System, *stats.Mem) {
 	t.Helper()
 	st := &stats.Mem{}
-	s, err := New(cfg, testImage(t), st)
+	s, err := New(cfg, testImage(t), st, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +502,7 @@ func TestQuickDeliveryInvariants(t *testing.T) {
 		b.Halt()
 		b.Space(256)
 		img, _ := b.Link()
-		s, err := New(cfg, img, st)
+		s, err := New(cfg, img, st, obs.NewSink(-1))
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 )
 
@@ -28,7 +29,7 @@ func TestPagedRAMMatchesFlatModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{AccessTime: 1, BusWidthBytes: 4, FPULatency: 4}, img, nil)
+	s, err := New(Config{AccessTime: 1, BusWidthBytes: 4, FPULatency: 4}, img, nil, obs.NewSink(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

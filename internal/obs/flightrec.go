@@ -1,23 +1,22 @@
 package obs
 
-// This file is the flight recorder: an always-on, fixed-size ring of the
-// most recent probe events, kept by every simulation regardless of whether
-// a probe is attached. When a run dies — machine check, watchdog deadlock —
-// the ring is snapshotted into the error so the post-mortem shows what the
-// machine was doing in the cycles leading up to the fault, not just the
-// retirement tail.
+// This file is the flight recorder's read side. The recorder is an
+// always-on, fixed-size ring of the most recent events, kept by every
+// simulation in its Sink whether or not a probe is attached. When a run
+// dies — machine check, watchdog deadlock — the ring is snapshotted into
+// the error so the post-mortem shows what the machine was doing in the
+// cycles leading up to the fault; the error's retire tail is read from it
+// too.
 //
-// The recorder deliberately does NOT ride the Probe interface: the
-// interface dispatch alone costs ~45% of an unobserved run (see
-// BenchmarkProbeOverhead/null-probe), far outside the always-on budget.
-// Instead instrumented components hold a concrete *FlightRecorder and call
-// the inlinable Record at their medium- and low-volume event sites
-// (cache hits/misses, fetch/prefetch brackets, flushes, bus transfers,
-// memory accepts, retirements). The two per-cycle-rate kinds — KindCycle
-// and KindQueueDepth, together ~70% of the stream — are not recorded:
-// they carry no fault context the retained kinds don't, and skipping them
-// keeps the always-on overhead under the 5% BenchmarkSingleRun bound
-// (measured ~3%, see BenchmarkFlightRecorderOverhead).
+// The recorder deliberately does NOT ride the Probe interface: interface
+// dispatch is what a probe costs (perfbench's obs.probe_marginal_pct reads
+// 24–31% on a 2-core Intel Xeon host, Go 1.24), far outside the always-on
+// budget. Components call the sink's inlinable Emit at their medium- and
+// low-volume event sites (cache hits/misses, fetch/prefetch brackets,
+// flushes, bus transfers, memory accepts, evictions, retirements). The two
+// per-cycle-rate kinds — KindCycle and KindQueueDepth, together ~70% of
+// the stream — are not recorded: they carry no fault context the retained
+// kinds don't.
 
 import (
 	"fmt"
@@ -31,77 +30,6 @@ import (
 // refill rounds before a fault, small enough (256 × 32 B = 8 KiB) to be
 // irrelevant next to the simulated memory image.
 const DefaultFlightRecDepth = 256
-
-// FlightRecorder is a bounded ring of recent events. It is single-writer
-// (the simulation goroutine) and is preallocated at construction: Record
-// performs no allocation and no interface dispatch. A nil *FlightRecorder
-// is a valid "disabled" recorder for the read-side methods; writers guard
-// their Record calls with a nil check instead, keeping the hot path one
-// compare + one store.
-type FlightRecorder struct {
-	clock *uint64 // the simulator's cycle counter, read at record time
-	buf   []Event // power-of-two ring
-	mask  uint64
-	n     uint64 // total events ever recorded
-}
-
-// NewFlightRecorder returns a recorder of at least the requested depth
-// (rounded up to a power of two; depth <= 0 selects DefaultFlightRecDepth)
-// stamping each event with *clock.
-func NewFlightRecorder(depth int, clock *uint64) *FlightRecorder {
-	if depth <= 0 {
-		depth = DefaultFlightRecDepth
-	}
-	d := 1
-	for d < depth {
-		d <<= 1
-	}
-	return &FlightRecorder{clock: clock, buf: make([]Event, d), mask: uint64(d - 1)}
-}
-
-// Record appends one event, overwriting the oldest when the ring is full.
-// It is kept small enough for the inliner so the per-event cost at a call
-// site is one predictable branch plus one 32-byte store.
-func (r *FlightRecorder) Record(kind Kind, addr, arg uint32, value uint64) {
-	r.buf[r.n&r.mask] = Event{Kind: kind, Cycle: *r.clock, Addr: addr, Arg: arg, Value: value}
-	r.n++
-}
-
-// Events returns a copy of the retained events, oldest first. Safe on a nil
-// recorder (returns nil). Must not race with Record: call it only after the
-// run has stopped (error constructors do) or from the run goroutine.
-func (r *FlightRecorder) Events() []Event {
-	if r == nil || r.n == 0 {
-		return nil
-	}
-	n := r.n
-	if max := uint64(len(r.buf)); n > max {
-		n = max
-	}
-	out := make([]Event, n)
-	start := r.n - n
-	for i := uint64(0); i < n; i++ {
-		out[i] = r.buf[(start+i)&r.mask]
-	}
-	return out
-}
-
-// Total returns how many events have ever been recorded (including
-// overwritten ones). Safe on a nil recorder.
-func (r *FlightRecorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.n
-}
-
-// Depth returns the ring capacity. Safe on a nil recorder.
-func (r *FlightRecorder) Depth() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
 
 // String renders the event as one stable diagnostic line, used by the
 // machine-check and deadlock Detail reports and the /debug/flightrecorder

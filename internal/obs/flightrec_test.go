@@ -8,38 +8,36 @@ import (
 )
 
 func TestFlightRecorderRetainsMostRecent(t *testing.T) {
-	var clock uint64
-	r := NewFlightRecorder(4, &clock)
-	if r.Depth() != 4 {
-		t.Fatalf("Depth = %d, want 4", r.Depth())
-	}
-	for i := 0; i < 10; i++ {
-		clock = uint64(i)
-		r.Record(KindRetire, uint32(i), 0, 0)
-	}
-	if r.Total() != 10 {
-		t.Errorf("Total = %d, want 10", r.Total())
-	}
-	ev := r.Events()
-	if len(ev) != 4 {
-		t.Fatalf("Events retained %d, want 4", len(ev))
-	}
-	// Oldest first: the ring must hold exactly the last four records.
-	for i, e := range ev {
-		if want := uint64(6 + i); e.Cycle != want {
-			t.Errorf("event %d: cycle %d, want %d", i, e.Cycle, want)
+	// Probe off and on: the ring must keep the same tail either way, across
+	// several slides of its backing store.
+	for _, probe := range []Probe{nil, &record{}} {
+		s := NewSink(4)
+		s.SetProbe(probe)
+		for i := 0; i < 21; i++ {
+			s.Cycle = uint64(i)
+			s.Emit(Event{Kind: KindRetire, Addr: uint32(i)})
+		}
+		ev := s.FlightEvents()
+		if len(ev) != 4 {
+			t.Fatalf("retained %d events, want 4", len(ev))
+		}
+		// Oldest first: the ring must hold exactly the last four records.
+		for i, e := range ev {
+			if want := uint64(17 + i); e.Cycle != want || e.Addr != uint32(want) {
+				t.Errorf("event %d: cycle %d addr %d, want %d", i, e.Cycle, e.Addr, want)
+			}
 		}
 	}
 }
 
 func TestFlightRecorderPartialFill(t *testing.T) {
-	var clock uint64 = 7
-	r := NewFlightRecorder(8, &clock)
-	r.Record(KindCacheMiss, 0x40, 0, 0)
-	r.Record(KindCacheHit, 0x44, 0, 0)
-	ev := r.Events()
+	s := NewSink(8)
+	s.Cycle = 7
+	s.Emit(Event{Kind: KindCacheMiss, Addr: 0x40})
+	s.Emit(Event{Kind: KindCacheHit, Addr: 0x44})
+	ev := s.FlightEvents()
 	if len(ev) != 2 {
-		t.Fatalf("Events retained %d, want 2", len(ev))
+		t.Fatalf("retained %d events, want 2", len(ev))
 	}
 	if ev[0].Kind != KindCacheMiss || ev[1].Kind != KindCacheHit {
 		t.Errorf("order wrong: %v then %v", ev[0].Kind, ev[1].Kind)
@@ -50,19 +48,31 @@ func TestFlightRecorderPartialFill(t *testing.T) {
 }
 
 func TestFlightRecorderDepthRounding(t *testing.T) {
-	var clock uint64
-	if d := NewFlightRecorder(5, &clock).Depth(); d != 8 {
-		t.Errorf("depth 5 rounded to %d, want 8", d)
-	}
-	if d := NewFlightRecorder(0, &clock).Depth(); d != DefaultFlightRecDepth {
-		t.Errorf("depth 0 = %d, want the default %d", d, DefaultFlightRecDepth)
+	for _, c := range []struct{ depth, want int }{{5, 8}, {0, DefaultFlightRecDepth}} {
+		s := NewSink(c.depth)
+		for i := 0; i < 1000; i++ {
+			s.Emit(Event{Kind: KindRetire})
+		}
+		if got := len(s.FlightEvents()); got != c.want {
+			t.Errorf("depth %d retains %d events, want %d", c.depth, got, c.want)
+		}
 	}
 }
 
+// TestNilFlightRecorderReads checks a negative depth turns recording off:
+// the read side is empty while a probe still sees every event.
 func TestNilFlightRecorderReads(t *testing.T) {
-	var r *FlightRecorder
-	if r.Events() != nil || r.Total() != 0 || r.Depth() != 0 {
-		t.Error("nil recorder read-side methods must be zero-valued no-ops")
+	s := NewSink(-1)
+	rec := &record{}
+	s.SetProbe(rec)
+	for i := 0; i < 3; i++ {
+		s.Emit(Event{Kind: KindRetire})
+	}
+	if s.FlightEvents() != nil {
+		t.Error("disabled recorder retained events")
+	}
+	if len(rec.events) != 3 {
+		t.Errorf("probe saw %d events, want 3", len(rec.events))
 	}
 }
 

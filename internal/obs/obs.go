@@ -12,10 +12,11 @@
 // higher-level collectors fold the stream into per-Livermore-loop
 // statistics (PerLoop) or a Chrome-trace timeline (Timeline).
 //
-// The layer is strictly pay-for-what-you-use: with no probe attached the
-// instrumented components perform only a nil check per event site, which
-// disappears in the noise of a simulation cycle (see BenchmarkProbeOverhead
-// at the repository root).
+// Every event reaches its consumers through one Sink per simulation
+// (sink.go), handed to each component when it is built. The layer is
+// pay-for-what-you-use: with no probe attached an event costs an append
+// into the always-on flight ring, and a per-cycle sample one nil check
+// (see BenchmarkProbeOverhead at the repository root).
 package obs
 
 import "pipesim/internal/stats"
@@ -155,20 +156,6 @@ func (m Multi) Event(e Event) {
 	for _, p := range m {
 		p.Event(e)
 	}
-}
-
-// Stamper fills in Event.Cycle from a shared clock before forwarding to the
-// target probe. The simulator core wraps every attached probe in one so
-// that emitting components do not need their own cycle counters.
-type Stamper struct {
-	Clock  *uint64
-	Target Probe
-}
-
-// Event stamps and forwards.
-func (s *Stamper) Event(e Event) {
-	e.Cycle = *s.Clock
-	s.Target.Event(e)
 }
 
 // LoopRange maps one Livermore loop to its PC range [Start, End) in the

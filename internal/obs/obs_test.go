@@ -14,14 +14,14 @@ type record struct {
 
 func (r *record) Event(e Event) { r.events = append(r.events, e) }
 
-func TestStamperFillsCycle(t *testing.T) {
-	var clock uint64
+func TestSinkStampsCycle(t *testing.T) {
 	rec := &record{}
-	s := &Stamper{Clock: &clock, Target: rec}
-	clock = 7
-	s.Event(Event{Kind: KindRetire, Addr: 0x100})
-	clock = 9
-	s.Event(Event{Kind: KindRetire, Addr: 0x104, Cycle: 999}) // emitter-set cycles are overwritten
+	s := NewSink(0)
+	s.SetProbe(rec)
+	s.Cycle = 7
+	s.Emit(Event{Kind: KindRetire, Addr: 0x100})
+	s.Cycle = 9
+	s.Sample(Event{Kind: KindCycle, Cycle: 999}) // emitter-set cycles are overwritten
 	if len(rec.events) != 2 {
 		t.Fatalf("forwarded %d events, want 2", len(rec.events))
 	}
@@ -30,6 +30,16 @@ func TestStamperFillsCycle(t *testing.T) {
 	}
 	if rec.events[0].Addr != 0x100 {
 		t.Errorf("payload not preserved: Addr = %#x", rec.events[0].Addr)
+	}
+	// Samples never reach the flight ring.
+	if ev := s.FlightEvents(); len(ev) != 1 || ev[0].Kind != KindRetire {
+		t.Errorf("flight ring = %v, want the one retirement", ev)
+	}
+	s.SetProbe(nil)
+	s.Emit(Event{Kind: KindRetire})
+	s.Sample(Event{Kind: KindCycle})
+	if len(rec.events) != 2 {
+		t.Errorf("detached probe still received events: %d", len(rec.events))
 	}
 }
 

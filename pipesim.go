@@ -57,7 +57,6 @@ import (
 	"pipesim/internal/runcache"
 	"pipesim/internal/runstore"
 	"pipesim/internal/stats"
-	"pipesim/internal/trace"
 )
 
 // Strategy names an instruction-fetch strategy.
@@ -160,8 +159,10 @@ type Config struct {
 	// flushes, bus transfers, memory accepts, retirements) that every run
 	// keeps for post-mortem diagnosis. On a machine check or deadlock the
 	// ring's tail is snapshotted into the error (MachineCheckError /
-	// DeadlockError .Recent, rendered by Detail); after any run it is
-	// readable via Simulation.RecentEvents. Zero selects the default depth
+	// DeadlockError .Recent, rendered by Detail), and the errors' retire
+	// tail (.Trace) is read from it, so with recording disabled errors
+	// carry no retire tail; after any run it is readable via
+	// Simulation.RecentEvents. Zero selects the default depth
 	// (256 events); a negative value disables recording. The recorder is
 	// observational only — it never changes simulation results — and its
 	// always-on cost is ~3% of an unobserved run (see
@@ -766,8 +767,9 @@ func NewSimulation(cfg Config, prog *Program) (*Simulation, error) {
 func (s *Simulation) Key() string { return s.key.String() }
 
 // Observe attaches a probe to the simulation's event stream. Call before
-// Run; multiple probes may be attached and each receives every event. The
-// no-probe fast path costs one nil check per event site, so an unobserved
+// Run; multiple probes may be attached and each receives every event. An
+// attached probe turns skip-ahead off (results are unchanged); without one
+// events go only to the always-on flight recorder, so an unobserved
 // simulation runs at full speed.
 func (s *Simulation) Observe(p Probe) {
 	s.probes = append(s.probes, p)
@@ -901,9 +903,18 @@ func WriteFlightTrace(w io.Writer, events []ProbeEvent) error {
 }
 
 // TraceTo streams every retired instruction (cycle, PC, disassembly) to w,
-// stopping after limit lines (0 = unlimited). Call before Run.
+// stopping after limit lines (0 = unlimited). It is a probe like any other
+// (see Observe), so it turns skip-ahead off; results are unchanged. Call
+// before Run.
 func (s *Simulation) TraceTo(w io.Writer, limit uint64) {
-	s.inner.SetRetireTracer(&trace.Writer{W: w, Limit: limit})
+	var n uint64
+	s.Observe(ProbeFunc(func(e ProbeEvent) {
+		if e.Kind != obs.KindRetire || (limit > 0 && n >= limit) {
+			return
+		}
+		n++
+		fmt.Fprintln(w, s.inner.DecodeRetire(e))
+	}))
 }
 
 // ReadWord returns the final memory word at a 4-byte-aligned address.

@@ -308,3 +308,56 @@ func TestHeadlineClaimSmallCacheSlowMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceToLimit checks the retirement trace: one line per retired
+// instruction (cycle, PC, disassembly), cut at the limit, and a traced run
+// produces the same result as an untraced one.
+func TestTraceToLimit(t *testing.T) {
+	prog, err := pipesim.Assemble(`
+        li   r1, 4
+        li   r2, 0
+        setb b0, loop
+loop:   add  r2, r2, r1
+        addi r1, r1, -1
+        pbr  ne, r1, b0, 2
+        nop
+        nop
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipesim.DefaultConfig()
+	run := func(limit uint64, w *strings.Builder) *pipesim.Result {
+		sim, err := pipesim.NewSimulation(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w != nil {
+			sim.TraceTo(w, limit)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(0, nil)
+	var all, cut strings.Builder
+	traced := run(0, &all)
+	run(2, &cut)
+	if traced.Cycles != plain.Cycles || traced.Instructions != plain.Instructions {
+		t.Errorf("tracing changed the run: %d/%d cycles, %d/%d instructions",
+			traced.Cycles, plain.Cycles, traced.Instructions, plain.Instructions)
+	}
+	if n := uint64(strings.Count(all.String(), "\n")); n != plain.Instructions {
+		t.Errorf("unlimited trace has %d lines, want one per retirement (%d)", n, plain.Instructions)
+	}
+	lines := strings.Split(strings.TrimSuffix(cut.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("limit 2 wrote %d lines:\n%s", len(lines), cut.String())
+	}
+	if !strings.Contains(lines[0], "00000  LI r1, 4") || !strings.Contains(lines[1], "LI r2, 0") {
+		t.Errorf("trace lines = %q", lines)
+	}
+}
