@@ -153,6 +153,13 @@ func TestWriterTraceFormat(t *testing.T) {
 	}
 }
 
+func TestRetiredString(t *testing.T) {
+	r := core.Retired{Cycle: 42, PC: 0x100, Inst: isa.Inst{Op: isa.OpLI, Rd: 3, Imm: 9}}
+	if got, want := r.String(), "        42  00100  LI r3, 9"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestStrategiesAgreeOnArchitecture(t *testing.T) {
 	// Same program, three engines: identical retired instruction streams.
 	var streams [][]uint32

@@ -295,38 +295,55 @@ func TestFlightRecorderDisabled(t *testing.T) {
 }
 
 // TestRetireTailKeepsMostRecent checks the deadlock's retire tail against
-// the full retirement stream a probe saw: a long run keeps exactly the last
-// RetireTraceDepth retirements, oldest first, and a run that retired fewer
-// keeps them all.
+// the full retirement stream a probe saw: a run that retired more than
+// RetireTraceDepth instructions keeps exactly the last RetireTraceDepth of
+// them, oldest first.
 func TestRetireTailKeepsMostRecent(t *testing.T) {
 	stuckLoop, err := asm.Assemble(stuckAfterLoopSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, img := range []*program.Image{stuckLoop, stuckProgram(t)} {
-		cfg := core.DefaultConfig()
-		cfg.WatchdogCycles = 2_000
-		sim, err := core.New(cfg, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := recordRetires(sim)
-		_, err = sim.Run()
-		var dl *core.DeadlockError
-		if !errors.As(err, &dl) {
-			t.Fatalf("Run err = %v, want *DeadlockError", err)
-		}
-		want := rec.events
-		if len(want) > core.RetireTraceDepth {
-			want = want[len(want)-core.RetireTraceDepth:]
-		}
-		if len(dl.Trace) != len(want) {
-			t.Fatalf("tail holds %d retirements, want %d", len(dl.Trace), len(want))
-		}
-		for i := range want {
-			if dl.Trace[i] != want[i] {
-				t.Errorf("tail[%d] = %v, want %v", i, dl.Trace[i], want[i])
-			}
+	if n := checkRetireTail(t, stuckLoop); n <= core.RetireTraceDepth {
+		t.Fatalf("run retired %d instructions, want more than %d", n, core.RetireTraceDepth)
+	}
+}
+
+// TestRetireTailPartial checks that a deadlock after fewer than
+// RetireTraceDepth retirements keeps every one of them, oldest first.
+func TestRetireTailPartial(t *testing.T) {
+	if n := checkRetireTail(t, stuckProgram(t)); n == 0 || n >= core.RetireTraceDepth {
+		t.Fatalf("run retired %d instructions, want 1..%d", n, core.RetireTraceDepth-1)
+	}
+}
+
+// checkRetireTail runs img to its deadlock, checks the error's retire tail
+// against the newest RetireTraceDepth retirements a probe saw, and returns
+// how many instructions the probe saw retire.
+func checkRetireTail(t *testing.T, img *program.Image) int {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.WatchdogCycles = 2_000
+	sim, err := core.New(cfg, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recordRetires(sim)
+	_, err = sim.Run()
+	var dl *core.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run err = %v, want *DeadlockError", err)
+	}
+	want := rec.events
+	if len(want) > core.RetireTraceDepth {
+		want = want[len(want)-core.RetireTraceDepth:]
+	}
+	if len(dl.Trace) != len(want) {
+		t.Fatalf("tail holds %d retirements, want %d", len(dl.Trace), len(want))
+	}
+	for i := range want {
+		if dl.Trace[i] != want[i] {
+			t.Errorf("tail[%d] = %v, want %v", i, dl.Trace[i], want[i])
 		}
 	}
+	return len(rec.events)
 }
