@@ -331,7 +331,9 @@ func TestJobsMetricsExported(t *testing.T) {
 }
 
 // TestJobTraceRetained asserts a finished job left a retrievable trace
-// under its job-scoped request ID.
+// under its job-scoped request ID. It polls for the trace itself: the
+// JobEnd hook ends the job's root span just after the job turns terminal,
+// so a job that reads as done may not have filed its trace yet.
 func TestJobTraceRetained(t *testing.T) {
 	_, base := jobsTestServer(t, serverOptions{})
 	resp, body := postJSON(t, base+"/v1/jobs", smallJobSpec)
@@ -342,13 +344,14 @@ func TestJobTraceRetained(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &v); err != nil {
 		t.Fatal(err)
 	}
-	waitJobDone(t, base, v.ID)
-
-	tresp, tbody := get(t, base+"/v1/trace/job-"+v.ID)
+	tresp, tbody := getTrace(t, base, "job-"+v.ID)
 	if tresp.StatusCode != http.StatusOK {
 		t.Fatalf("job trace: %d %s", tresp.StatusCode, tbody)
 	}
 	if !strings.Contains(tbody, "job:"+v.ID) {
 		t.Errorf("trace body lacks the job root span: %s", tbody)
+	}
+	if fin := waitJobDone(t, base, v.ID); fin.State != jobs.StateDone {
+		t.Errorf("traced job finished %s (%s)", fin.State, fin.Error)
 	}
 }

@@ -55,7 +55,7 @@
 //	pipesimd -addr 127.0.0.1:9000  # pick the listen address
 //	pipesimd -log json             # JSON log records instead of text
 //	pipesimd -drain 10s            # shutdown drain deadline
-//	pipesimd -run-timeout 2m       # per-run / per-experiment deadline
+//	pipesimd -run-timeout 2m       # per-simulation / per-experiment deadline
 //	pipesimd -runcache=false       # disable simulation-result memoization
 //	pipesimd -store-dir /var/lib/pipesimd/runs  # persistent run archive:
 //	                               # warm starts survive restarts, /v1/runs,
@@ -94,7 +94,7 @@ func run() int {
 		logMode    = flag.String("log", "text", "log handler: text or json")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		drain      = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
-		runTimeout = flag.Duration("run-timeout", 5*time.Minute, "per-run and per-sweep-experiment deadline (0 = none)")
+		runTimeout = flag.Duration("run-timeout", 5*time.Minute, "per-simulation and per-sweep-experiment deadline; cached /v1/run results are answered without one (0 = none)")
 		maxBody    = flag.Int64("max-body", 1<<20, "maximum /v1/run request body in bytes")
 		workers    = flag.Int("parallel", 0, "default sweep worker count (0 = one per CPU)")
 		useCache   = flag.Bool("runcache", true, "memoize simulation results by (config, program) content hash")

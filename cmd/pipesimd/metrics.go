@@ -252,7 +252,7 @@ func (m *daemonMetrics) observeSpan(sp *tracing.Span) {
 	if i := strings.IndexByte(stage, ':'); i >= 0 {
 		stage = stage[:i]
 	}
-	m.stageTime.With(stage).ObserveExemplar(sp.Duration().Seconds(), sp.TraceID().String())
+	m.stageTime.With(stage).ObserveExemplar(sp.Duration().Seconds(), sp.TraceIDString())
 }
 
 // addAttribution folds one run's exact attribution into the totals.

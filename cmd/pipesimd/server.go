@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,7 +70,7 @@ type server struct {
 	reqSeq    atomic.Uint64
 	startID   string
 	maxBody   int64         // request body cap for /v1/run
-	runLimit  time.Duration // per-run and per-sweep-experiment deadline
+	runLimit  time.Duration // per-simulation and per-sweep-experiment deadline
 	workers   int           // sweep worker cap (0 = one per CPU)
 	slowLimit time.Duration // slow-request log threshold (0 = off)
 }
@@ -231,10 +233,25 @@ type ctxKey int
 
 const logKey ctxKey = 0
 
+// requestLog is a request's logger, built on first use: most requests log
+// nothing at the daemon's level, so the request attributes are formatted
+// only for those that do.
+type requestLog struct {
+	base             *slog.Logger
+	id, method, path string
+	once             sync.Once
+	l                *slog.Logger
+}
+
+func (rl *requestLog) logger() *slog.Logger {
+	rl.once.Do(func() { rl.l = rl.base.With("request_id", rl.id, "method", rl.method, "path", rl.path) })
+	return rl.l
+}
+
 // reqLog returns the request-scoped logger installed by handle.
 func reqLog(r *http.Request) *slog.Logger {
-	if l, ok := r.Context().Value(logKey).(*slog.Logger); ok {
-		return l
+	if rl, ok := r.Context().Value(logKey).(*requestLog); ok {
+		return rl.logger()
 	}
 	return slog.Default()
 }
@@ -266,7 +283,8 @@ func clientRequestID(r *http.Request) string {
 // handle registers one instrumented route: request counting and latency
 // by route pattern (never by raw URL, so cardinality stays bounded), the
 // in-flight gauge, the request ID (client-supplied when sane, generated
-// otherwise), a request-scoped logger, and a trace rooted at this request
+// otherwise), a request-scoped logger (built only if something logs), and
+// a trace rooted at this request
 // — joined to the caller's trace when the request carries a W3C
 // traceparent header. The finished trace is retrievable at
 // GET /v1/trace/{request_id}; requests slower than -slow-ms additionally
@@ -277,7 +295,7 @@ func (s *server) handle(pattern, route string, h http.HandlerFunc) {
 		if id == "" {
 			id = s.startID + "-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
 		}
-		l := s.log.With("request_id", id, "method", r.Method, "path", r.URL.Path)
+		rl := &requestLog{base: s.log, id: id, method: r.Method, path: r.URL.Path}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		parent, _ := tracing.ParseTraceparent(r.Header.Get("traceparent"))
 		ctx, root := s.tracer.StartTrace(r.Context(), r.Method+" "+route, id, parent)
@@ -290,16 +308,18 @@ func (s *server) handle(pattern, route string, h http.HandlerFunc) {
 			s.metrics.latency.With(route).Observe(elapsed.Seconds())
 			root.SetAttr("code", strconv.Itoa(sw.code))
 			root.End()
-			l.Info("request served", "code", sw.code, "elapsed", elapsed.Round(time.Microsecond))
+			if s.log.Enabled(ctx, slog.LevelInfo) {
+				rl.logger().Info("request served", "code", sw.code, "elapsed", elapsed.Round(time.Microsecond))
+			}
 			if s.slowLimit > 0 && elapsed >= s.slowLimit {
 				if td, ok := s.tracer.Get(id); ok {
-					l.Warn("slow request", "elapsed", elapsed.Round(time.Millisecond),
+					rl.logger().Warn("slow request", "elapsed", elapsed.Round(time.Millisecond),
 						"threshold", s.slowLimit, "trace_id", td.TraceID, "spans", td.SpanBreakdown())
 				}
 			}
 		}()
 		w.Header().Set("X-Request-Id", id)
-		h(sw, r.WithContext(context.WithValue(ctx, logKey, l)))
+		h(sw, r.WithContext(context.WithValue(ctx, logKey, rl)))
 	})
 }
 
@@ -391,12 +411,11 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, kind string, err e
 	writeJSON(w, code, resp)
 }
 
+// writeJSON writes v as one line of compact JSON (pipe it to jq to read).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // runRequest is the /v1/run request body. Config is an overlay on the
@@ -441,8 +460,10 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, kind, err)
 		return
 	}
-	reqLog(r).Info("run starting", "strategy", cfg.Strategy, "cache_bytes", cfg.CacheBytes,
-		"line_bytes", cfg.LineBytes, "mem_access", cfg.MemAccessTime, "bus_bytes", cfg.BusWidthBytes)
+	if s.log.Enabled(ctx, slog.LevelInfo) {
+		reqLog(r).Info("run starting", "strategy", cfg.Strategy, "cache_bytes", cfg.CacheBytes,
+			"line_bytes", cfg.LineBytes, "mem_access", cfg.MemAccessTime, "bus_bytes", cfg.BusWidthBytes)
+	}
 
 	start := time.Now()
 	var (
@@ -510,7 +531,7 @@ func buildRunConfig(ctx context.Context, req runRequest) (pipesim.Config, *pipes
 		}
 	}
 	if len(req.Config) > 0 {
-		cdec := json.NewDecoder(strings.NewReader(string(req.Config)))
+		cdec := json.NewDecoder(bytes.NewReader(req.Config))
 		cdec.DisallowUnknownFields()
 		if err := cdec.Decode(&cfg); err != nil {
 			return cfg, nil, errKindBadRequest, fmt.Errorf("decoding config overlay: %w", err)
@@ -555,7 +576,7 @@ func observedSimulation(ctx context.Context, cfg pipesim.Config, prog *pipesim.P
 func (s *server) runSim(ctx context.Context, sim *pipesim.Simulation) (*pipesim.Result, error) {
 	_, span := tracing.StartSpan(ctx, "run")
 	defer span.End()
-	res, err := runWithDeadline(sim, s.runLimit)
+	res, err := runWithDeadline(s.runLimit, sim.Run)
 	if err != nil {
 		span.SetAttr("error", err.Error())
 		return nil, err
@@ -564,40 +585,31 @@ func (s *server) runSim(ctx context.Context, sim *pipesim.Simulation) (*pipesim.
 	return res, nil
 }
 
-// runArchived executes through the two-tier run cache (memory → -store-dir
-// archive → simulate) under a "run" span and the -run-timeout deadline.
+// runArchived serves the run through the two-tier run cache (memory →
+// -store-dir archive → simulate) under a "run" span. A cached result is
+// looked up and answered on the request's goroutine; only a miss
+// simulates, under the -run-timeout deadline.
 func (s *server) runArchived(ctx context.Context, cfg pipesim.Config, prog *pipesim.Program) (*pipesim.Result, pipesim.RunSource, error) {
 	_, span := tracing.StartSpan(ctx, "run")
 	defer span.End()
-	type reply struct {
+	var (
 		res *pipesim.Result
-		src pipesim.RunSource
-		err error
-	}
-	var rp reply
-	if s.runLimit <= 0 {
-		rp.res, rp.src, rp.err = pipesim.RunArchived(ctx, cfg, prog)
-	} else {
-		ch := make(chan reply, 1)
-		go func() {
-			res, src, err := pipesim.RunArchived(ctx, cfg, prog)
-			ch <- reply{res, src, err}
-		}()
-		timer := time.NewTimer(s.runLimit)
-		defer timer.Stop()
-		select {
-		case rp = <-ch:
-		case <-timer.C:
-			return nil, pipesim.RunSimulated, &deadlineError{Limit: s.runLimit}
+		src = pipesim.RunSimulated
+		ok  bool
+	)
+	run, err := pipesim.NewArchivedRun(cfg, prog)
+	if err == nil {
+		if res, src, ok = run.Lookup(ctx); !ok {
+			res, err = runWithDeadline(s.runLimit, func() (*pipesim.Result, error) { return run.Simulate(ctx) })
 		}
 	}
-	if rp.err != nil {
-		span.SetAttr("error", rp.err.Error())
-		return nil, rp.src, rp.err
+	if err != nil {
+		span.SetAttr("error", err.Error())
+		return nil, src, err
 	}
-	span.SetAttr("cycles", strconv.FormatUint(rp.res.Cycles, 10))
-	span.SetAttr("source", string(rp.src))
-	return rp.res, rp.src, nil
+	span.SetAttr("cycles", strconv.FormatUint(res.Cycles, 10))
+	span.SetAttr("source", string(src))
+	return res, src, nil
 }
 
 // deadlineError reports a /v1/run simulation that exceeded the daemon's
@@ -612,13 +624,13 @@ func (e *deadlineError) Error() string {
 	return fmt.Sprintf("run exceeded the %s serving deadline (-run-timeout)", e.Limit)
 }
 
-// runWithDeadline executes the simulation with an optional wall-clock
+// runWithDeadline executes a simulation with an optional wall-clock
 // deadline, mirroring the sweep runner's isolation: a run that exceeds it
 // is reported as a *deadlineError and its goroutine abandoned (the
 // watchdog still bounds truly wedged machines).
-func runWithDeadline(sim *pipesim.Simulation, limit time.Duration) (*pipesim.Result, error) {
+func runWithDeadline(limit time.Duration, run func() (*pipesim.Result, error)) (*pipesim.Result, error) {
 	if limit <= 0 {
-		return sim.Run()
+		return run()
 	}
 	type reply struct {
 		res *pipesim.Result
@@ -626,7 +638,7 @@ func runWithDeadline(sim *pipesim.Simulation, limit time.Duration) (*pipesim.Res
 	}
 	ch := make(chan reply, 1)
 	go func() {
-		res, err := sim.Run()
+		res, err := run()
 		ch <- reply{res, err}
 	}()
 	timer := time.NewTimer(limit)

@@ -3,16 +3,20 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pipesim"
 	"pipesim/internal/runcache"
+	"pipesim/internal/tracing"
 )
 
 // smallLoop terminates in a few hundred cycles — fast enough to run for
@@ -456,4 +460,167 @@ func keysLike(snap map[string]float64, prefix string) []string {
 		}
 	}
 	return out
+}
+
+// postRunResponse posts a /v1/run body with the given request ID and
+// decodes the success reply.
+func postRunResponse(t *testing.T, base, id, body string) runResponse {
+	t.Helper()
+	resp, raw := postWithHeaders(t, base+"/v1/run", body, map[string]string{"X-Request-Id": id})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run %s = %d\n%s", id, resp.StatusCode, raw)
+	}
+	var rr runResponse
+	if err := json.Unmarshal([]byte(raw), &rr); err != nil {
+		t.Fatalf("run %s response not JSON: %v\n%s", id, err, raw)
+	}
+	return rr
+}
+
+// TestRunMemoryHitSpans pins the stage spans of a memory hit — the ones
+// perfbench's traced layers read: decode, build, run and a
+// runcache.lookup with outcome=hit, and no simulate span.
+func TestRunMemoryHitSpans(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"asm": ` + quote(smallLoop) + `}`
+	if rr := postRunResponse(t, ts.URL, "hit-spans-miss", body); rr.Source != string(pipesim.RunSimulated) {
+		t.Fatalf("first run source = %q, want simulated", rr.Source)
+	}
+	if rr := postRunResponse(t, ts.URL, "hit-spans-hit", body); rr.Source != string(pipesim.RunFromMemory) {
+		t.Fatalf("repeat run source = %q, want memory", rr.Source)
+	}
+
+	_, raw := getTrace(t, ts.URL, "hit-spans-hit")
+	var td tracing.TraceData
+	if err := json.Unmarshal([]byte(raw), &td); err != nil {
+		t.Fatalf("trace not JSON: %v\n%s", err, raw)
+	}
+	spans := map[string]tracing.SpanData{}
+	for _, sp := range td.Spans {
+		spans[sp.Name] = sp
+	}
+	for _, name := range []string{"POST /v1/run", "decode", "build", "run", "runcache.lookup"} {
+		if _, ok := spans[name]; !ok {
+			t.Errorf("memory hit lacks the %q span (have %v)", name, td.Spans)
+		}
+	}
+	if _, ok := spans["simulate"]; ok {
+		t.Error("memory hit recorded a simulate span")
+	}
+	var outcome string
+	for _, a := range spans["runcache.lookup"].Attrs {
+		if a.Key == "outcome" {
+			outcome = a.Value
+		}
+	}
+	if outcome != "hit" {
+		t.Errorf("runcache.lookup outcome = %q, want hit", outcome)
+	}
+}
+
+// TestRunMemoryHitOutsideDeadline: the run cache is looked up on the
+// handler goroutine and only a simulation runs under -run-timeout, so a
+// server whose deadline no simulation can meet still answers a memory hit.
+func TestRunMemoryHitOutsideDeadline(t *testing.T) {
+	_, ts := newTestServerOpts(t, serverOptions{runLimit: time.Nanosecond})
+	prog, err := pipesim.Assemble(smallLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, src, err := pipesim.RunArchived(context.Background(), pipesim.DefaultConfig(), prog); err != nil || src != pipesim.RunSimulated {
+		t.Fatalf("warming the run cache: source %q, err %v", src, err)
+	}
+	rr := postRunResponse(t, ts.URL, "hit-no-deadline", `{"asm": `+quote(smallLoop)+`}`)
+	if rr.Source != string(pipesim.RunFromMemory) || rr.Result == nil || rr.Result.Cycles == 0 {
+		t.Errorf("hit under a 1ns deadline: source %q, result %+v", rr.Source, rr.Result)
+	}
+}
+
+// TestRunRejectsHugeFlightRecorderDepth: an overlay asking for a flight
+// ring deeper than MaxFlightRecorderDepth is refused as an invalid
+// configuration, promptly, instead of sizing (or, near MaxInt64, spinning
+// on) the ring inside the run goroutine.
+func TestRunRejectsHugeFlightRecorderDepth(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, depth := range []string{"9223372036854775807", strconv.Itoa(pipesim.MaxFlightRecorderDepth + 1)} {
+		start := time.Now()
+		resp, body := post(t, ts.URL+"/v1/run", `{"config": {"FlightRecorderDepth": `+depth+`}}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("depth %s = %d, want 400\n%s", depth, resp.StatusCode, body)
+		}
+		if ae := decodeErr(t, body); ae.Kind != errKindInvalidConfig || !strings.Contains(ae.Error, "FlightRecorderDepth") {
+			t.Errorf("depth %s: kind %q, error %q", depth, ae.Kind, ae.Error)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("depth %s took %s to refuse", depth, d)
+		}
+	}
+}
+
+// TestRunMemoryHitsConcurrent serves memory hits of one configuration from
+// several clients at once while /metrics is scraped, then reads back every
+// hit's trace: the lazily built request loggers, the per-trace ID string
+// and the lazily exported traces are shared state (run under -race).
+func TestRunMemoryHitsConcurrent(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"asm": ` + quote(smallLoop) + `}`
+	want := postRunResponse(t, ts.URL, "concurrent-warm", body)
+
+	// fetch is a request that reports failure instead of calling t.Fatal,
+	// so the client goroutines can use it.
+	fetch := func(method, url, id string) (int, string, error) {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			return 0, "", err
+		}
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, "", err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw), err
+	}
+
+	const clients, hits = 4, 8
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < hits; i++ {
+				id := fmt.Sprintf("concurrent-%d-%d", c, i)
+				code, raw, err := fetch(http.MethodPost, ts.URL+"/v1/run", id)
+				var rr runResponse
+				if err != nil || code != http.StatusOK || json.Unmarshal([]byte(raw), &rr) != nil {
+					t.Errorf("%s = %d, %v\n%s", id, code, err, raw)
+					return
+				}
+				if rr.Source != string(pipesim.RunFromMemory) || rr.Key != want.Key || rr.Result.Cycles != want.Result.Cycles {
+					t.Errorf("%s: source %q key %s cycles %d, want memory %s %d",
+						id, rr.Source, rr.Key, rr.Result.Cycles, want.Key, want.Result.Cycles)
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < hits; i++ {
+			if code, raw, err := fetch(http.MethodGet, ts.URL+"/metrics", fmt.Sprintf("scrape-%d", i)); err != nil || code != http.StatusOK {
+				t.Errorf("metrics = %d, %v\n%s", code, err, raw)
+			}
+		}
+	}()
+	wg.Wait()
+
+	for c := 0; c < clients; c++ {
+		for i := 0; i < hits; i++ {
+			id := fmt.Sprintf("concurrent-%d-%d", c, i)
+			if resp, raw := getTrace(t, ts.URL, id); resp.StatusCode != http.StatusOK || !strings.Contains(raw, `"runcache.lookup"`) {
+				t.Errorf("%s trace = %d\n%s", id, resp.StatusCode, raw)
+			}
+		}
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pipesim"
+	"pipesim/internal/runcache"
 	"pipesim/internal/tracing"
 )
 
@@ -40,18 +41,20 @@ func postWithHeaders(t *testing.T, url, body string, hdrs map[string]string) (*h
 	return resp, string(b)
 }
 
-// getTrace polls /v1/trace/{id}: the trace is finalized by the middleware's
-// deferred root-span End, which can land a moment after the response.
+// getTrace polls /v1/trace/{id} for up to 30s: a trace is filed when its
+// root span ends — for a request, in the middleware's deferred End, which
+// can land a moment after the response; for a job, in the JobEnd hook,
+// just after the job turns terminal.
 func getTrace(t *testing.T, base, id string) (resp *http.Response, body string) {
 	t.Helper()
-	for i := 0; i < 50; i++ {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		resp, body = get(t, base+"/v1/trace/"+id)
-		if resp.StatusCode == http.StatusOK {
+		if resp.StatusCode == http.StatusOK || time.Now().After(deadline) {
 			return resp, body
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return resp, body
 }
 
 func TestClientRequestIDHonored(t *testing.T) {
@@ -223,6 +226,10 @@ func TestDeadlockErrorCarriesRecentEvents(t *testing.T) {
 }
 
 func TestRunDeadlineKind(t *testing.T) {
+	// Only a simulation runs under the deadline (a cached result is
+	// answered inline), so the run cache must not hold the posted config.
+	runcache.Default.SetStore(nil)
+	runcache.Default.Reset()
 	s, err := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), serverOptions{
 		runLimit: time.Nanosecond,
 	})

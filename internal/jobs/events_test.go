@@ -26,6 +26,29 @@ func collectEvents(s *eventbus.Subscriber) []eventbus.Event {
 	}
 }
 
+// collectThrough drains a subscriber until an event of the given kind has
+// been popped, waiting up to 30s for it, then returns everything drained.
+// The manager publishes job.end just after the job turns terminal, so a
+// test that polled for the terminal state can get there first.
+func collectThrough(t *testing.T, s *eventbus.Subscriber, kind string) []eventbus.Event {
+	t.Helper()
+	var out []eventbus.Event
+	deadline := time.After(30 * time.Second)
+	for {
+		for ev, ok := s.Pop(); ok; ev, ok = s.Pop() {
+			out = append(out, ev)
+			if ev.Kind == kind {
+				return append(out, collectEvents(s)...)
+			}
+		}
+		select {
+		case <-s.Wait():
+		case <-deadline:
+			t.Fatalf("no %s event within 30s (drained %d events)", kind, len(out))
+		}
+	}
+}
+
 // TestJobPublishesLifecycleAndOutcomes runs a small job to completion
 // with a bus attached and checks the event trail: queued → start → one
 // point.ok + ckpt.append per point (with dense, unique outcome-log
@@ -48,7 +71,7 @@ func TestJobPublishesLifecycleAndOutcomes(t *testing.T) {
 
 	kinds := map[string]int{}
 	indexes := map[int]string{}
-	for _, ev := range collectEvents(sub) {
+	for _, ev := range collectThrough(t, sub, KindJobEnd) {
 		if ev.Job != v.ID {
 			t.Errorf("event %s carries job %q, want %q", ev.Kind, ev.Job, v.ID)
 		}

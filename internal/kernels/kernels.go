@@ -3,6 +3,8 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"pipesim/internal/isa"
 	"pipesim/internal/obs"
@@ -26,15 +28,19 @@ type LoopInfo struct {
 }
 
 // TableI returns the inner-loop sizes the generated program is calibrated
-// to (identical to the paper's Table I).
-func TableI() []LoopInfo {
+// to (identical to the paper's Table I). The table is built once per
+// process; every call returns its own copy.
+func TableI() []LoopInfo { return slices.Clone(tableIOnce()) }
+
+// tableIOnce builds Table I from the kernel definitions on first use.
+var tableIOnce = sync.OnceValue(func() []LoopInfo {
 	defs := kernelDefs(0)
 	out := make([]LoopInfo, len(defs))
 	for i, d := range defs {
 		out[i] = LoopInfo{Index: d.index, Name: d.name, InnerBytes: d.tableIBytes, Iterations: d.iters}
 	}
 	return out
-}
+})
 
 // array declares one named region array.
 type array struct {

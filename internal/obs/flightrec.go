@@ -31,6 +31,10 @@ import (
 // irrelevant next to the simulated memory image.
 const DefaultFlightRecDepth = 256
 
+// MaxFlightRecDepth is the deepest flight recorder NewSink builds
+// (65536 × 32 B = 2 MiB); deeper requests are clamped to it.
+const MaxFlightRecDepth = 1 << 16
+
 // String renders the event as one stable diagnostic line, used by the
 // machine-check and deadlock Detail reports and the /debug/flightrecorder
 // endpoint. The format is `[cycle] kind payload` with kind-specific payload

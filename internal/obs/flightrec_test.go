@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFlightRecorderRetainsMostRecent(t *testing.T) {
@@ -55,6 +57,27 @@ func TestFlightRecorderDepthRounding(t *testing.T) {
 		}
 		if got := len(s.FlightEvents()); got != c.want {
 			t.Errorf("depth %d retains %d events, want %d", c.depth, got, c.want)
+		}
+	}
+}
+
+// TestNewSinkClampsHugeDepth: depths beyond MaxFlightRecDepth are clamped
+// to it. Before the clamp the power-of-two round-up overflowed for depths
+// above 1<<62 and NewSink never returned.
+func TestNewSinkClampsHugeDepth(t *testing.T) {
+	for _, depth := range []int{math.MaxInt64, 1<<62 + 1, MaxFlightRecDepth + 1} {
+		done := make(chan *Sink, 1)
+		go func() { done <- NewSink(depth) }()
+		select {
+		case s := <-done:
+			for i := 0; i < 2*MaxFlightRecDepth; i++ {
+				s.Emit(Event{Kind: KindRetire})
+			}
+			if got := len(s.FlightEvents()); got != MaxFlightRecDepth {
+				t.Errorf("depth %d retains %d events, want %d", depth, got, MaxFlightRecDepth)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("NewSink(%d) did not return within 5s", depth)
 		}
 	}
 }

@@ -46,12 +46,14 @@ type Sink struct {
 
 // NewSink returns a sink whose flight recorder keeps at least depth events
 // (rounded up to a power of two; 0 selects DefaultFlightRecDepth; a
-// negative depth turns recording off).
+// negative depth turns recording off; depths above MaxFlightRecDepth are
+// clamped to it, so the rounding cannot overflow).
 func NewSink(depth int) *Sink {
 	s := &Sink{}
 	if depth == 0 {
 		depth = DefaultFlightRecDepth
 	}
+	depth = min(depth, MaxFlightRecDepth)
 	if depth > 0 {
 		s.depth = 1
 		for s.depth < depth {

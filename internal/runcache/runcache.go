@@ -339,40 +339,62 @@ func (c *Cache) RunCtx(ctx context.Context, cfg core.Config, img *program.Image)
 }
 
 // RunSource is RunCtx reporting where the result came from: the memory
-// LRU, the persistent store (SetStore), or a fresh simulation. A store hit
-// is promoted into the memory tier; a fresh result is written through to
-// both tiers, so a restarted process finds it on disk.
+// LRU, the persistent store (SetStore), or a fresh simulation. It is
+// Lookup followed, on a miss, by Fill.
 func (c *Cache) RunSource(ctx context.Context, cfg core.Config, img *program.Image) (*stats.Sim, Source, error) {
+	k := KeyFor(cfg, img.Fingerprint())
+	if st, src, ok := c.Lookup(ctx, k); ok {
+		return st, src, nil
+	}
+	st, err := c.Fill(ctx, k, cfg, img)
+	return st, SourceSimulated, err
+}
+
+// Lookup serves k without simulating: from the memory LRU, or else from
+// the persistent store, whose hit is promoted into memory. The lookup is
+// a "runcache.lookup" span annotated with its outcome (hit, store-hit or
+// miss). A nil or disabled cache always misses, and records no span.
+// Callers that want a cached result answered inline and only a real
+// simulation bounded or offloaded call Lookup and then, on a miss, Fill
+// with the same key.
+func (c *Cache) Lookup(ctx context.Context, k Key) (*stats.Sim, Source, bool) {
 	if c == nil || !c.enabled.Load() {
-		st, err := simulate(ctx, cfg, img)
-		return st, SourceSimulated, err
+		return nil, SourceSimulated, false
 	}
 	_, look := tracing.StartSpan(ctx, "runcache.lookup")
-	k := KeyFor(cfg, img.Fingerprint())
+	defer look.End()
 	if st, ok := c.Get(k); ok {
 		look.SetAttr("outcome", "hit")
-		look.End()
-		return &st, SourceMemory, nil
+		return &st, SourceMemory, true
 	}
 	if t := c.tier(); t != nil {
 		if st, ok := t.Lookup(k); ok {
 			c.Put(k, &st)
 			look.SetAttr("outcome", "store-hit")
-			look.End()
-			return &st, SourceStore, nil
+			return &st, SourceStore, true
 		}
 	}
 	look.SetAttr("outcome", "miss")
-	look.End()
+	return nil, SourceSimulated, false
+}
+
+// Fill simulates cfg over img — the miss path behind Lookup — and, when
+// the cache is enabled, writes the result through both tiers under k, so
+// a restarted process finds it on disk. k must be KeyFor(cfg,
+// img.Fingerprint()). Only successful runs are stored.
+func (c *Cache) Fill(ctx context.Context, k Key, cfg core.Config, img *program.Image) (*stats.Sim, error) {
 	st, err := simulate(ctx, cfg, img)
 	if err != nil {
-		return nil, SourceSimulated, err
+		return nil, err
+	}
+	if c == nil || !c.enabled.Load() {
+		return st, nil
 	}
 	c.Put(k, st)
 	if t := c.tier(); t != nil {
 		t.Store(k, cfg, st)
 	}
-	return st, SourceSimulated, nil
+	return st, nil
 }
 
 // simulate is one uncached simulation wrapped in a "simulate" span.

@@ -118,7 +118,7 @@ type Tracer struct {
 	onEnd    atomic.Value // func(*Span)
 
 	mu    sync.Mutex
-	ll    *list.List               // front = most recently completed; values are *TraceData
+	ll    *list.List               // front = most recently completed; values are *finishedTrace
 	items map[string]*list.Element // by request ID
 }
 
@@ -146,7 +146,9 @@ func (t *Tracer) OnSpanEnd(fn func(*Span)) { t.onEnd.Store(fn) }
 // the caller's span. The returned context carries the root span for
 // StartSpan callees.
 func (t *Tracer) StartTrace(ctx context.Context, name, requestID string, parent TraceContext) (context.Context, *Span) {
-	tr := &liveTrace{tracer: t, requestID: requestID, start: time.Now()}
+	// A daemon request ends about five spans; room for eight saves
+	// growing the slice span by span.
+	tr := &liveTrace{tracer: t, requestID: requestID, start: time.Now(), spans: make([]spanRecord, 0, 8)}
 	if parent.TraceID.IsZero() {
 		tr.id = randomTraceID()
 	} else {
@@ -171,7 +173,11 @@ func (t *Tracer) Get(requestID string) (*TraceData, bool) {
 		return nil, false
 	}
 	t.ll.MoveToFront(el)
-	return el.Value.(*TraceData), true
+	f := el.Value.(*finishedTrace)
+	if f.data == nil {
+		f.data = f.export()
+	}
+	return f.data, true
 }
 
 // Len returns how many completed traces are retained.
@@ -186,20 +192,21 @@ func (t *Tracer) Len() int {
 
 // keep inserts a finalized trace, evicting the least recently used beyond
 // capacity. A repeated request ID replaces the previous trace.
-func (t *Tracer) keep(d *TraceData) {
+func (t *Tracer) keep(f *finishedTrace) {
+	id := f.tr.requestID
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.items[d.RequestID]; ok {
-		el.Value = d
+	if el, ok := t.items[id]; ok {
+		el.Value = f
 		t.ll.MoveToFront(el)
 		return
 	}
 	if t.ll.Len() >= t.capacity {
 		oldest := t.ll.Back()
 		t.ll.Remove(oldest)
-		delete(t.items, oldest.Value.(*TraceData).RequestID)
+		delete(t.items, oldest.Value.(*finishedTrace).tr.requestID)
 	}
-	t.items[d.RequestID] = t.ll.PushFront(d)
+	t.items[id] = t.ll.PushFront(f)
 }
 
 // liveTrace accumulates one in-flight trace.
@@ -212,9 +219,22 @@ type liveTrace struct {
 
 	root *Span // set by StartTrace before any use
 
+	hexOnce sync.Once
+	hex     string // id as hex, formatted on first TraceIDString
+
 	mu      sync.Mutex
-	spans   []SpanData
+	spans   []spanRecord
 	dropped int
+}
+
+// spanRecord is one ended span as its trace keeps it. IDs stay binary and
+// times stay durations until the trace is read (finishedTrace.export), so
+// ending a span formats nothing.
+type spanRecord struct {
+	id, parent SpanID
+	name       string
+	start, dur time.Duration // start is the offset from the trace's start
+	attrs      []Attr
 }
 
 // Span is one timed operation within a trace. End it exactly once; all
@@ -259,6 +279,17 @@ func (s *Span) TraceID() TraceID {
 	return s.tr.id
 }
 
+// TraceIDString returns TraceID().String(), formatted once per trace and
+// shared by its spans ("" on the no-op span).
+func (s *Span) TraceIDString() string {
+	if s == nil {
+		return ""
+	}
+	tr := s.tr
+	tr.hexOnce.Do(func() { tr.hex = tr.id.String() })
+	return tr.hex
+}
+
 // SetAttr annotates the span. Safe at any point before or after End (late
 // attributes on the root span still export: finalization snapshots happen
 // at End, so prefer setting attributes before ending).
@@ -286,22 +317,23 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.dur = time.Since(s.start)
-	data := SpanData{
-		SpanID:  s.id.String(),
-		Name:    s.name,
-		StartUS: s.start.Sub(s.tr.start).Microseconds(),
-		DurUS:   s.dur.Microseconds(),
-		Attrs:   append([]Attr(nil), s.attrs...),
+	// The record shares the attribute array up to its current length; a
+	// late SetAttr appends past it, which the record never reads.
+	n := len(s.attrs)
+	rec := spanRecord{
+		id:     s.id,
+		parent: s.parent,
+		name:   s.name,
+		start:  s.start.Sub(s.tr.start),
+		dur:    s.dur,
+		attrs:  s.attrs[:n:n],
 	}
 	s.mu.Unlock()
-	if !s.parent.IsZero() {
-		data.ParentID = s.parent.String()
-	}
 
 	tr := s.tr
 	tr.mu.Lock()
 	if len(tr.spans) < MaxSpansPerTrace {
-		tr.spans = append(tr.spans, data)
+		tr.spans = append(tr.spans, rec)
 	} else {
 		tr.dropped++
 	}
@@ -315,24 +347,54 @@ func (s *Span) End() {
 	}
 }
 
-// finalize freezes the accumulated spans into a TraceData and hands it to
-// the tracer's LRU. Called once, from the root span's End.
+// finalize freezes the accumulated spans and hands them to the tracer's
+// LRU. Called once, from the root span's End; spans ending later are not
+// exported.
 func (tr *liveTrace) finalize() {
 	tr.mu.Lock()
-	d := &TraceData{
+	f := &finishedTrace{tr: tr, dur: tr.root.Duration(), spans: tr.spans, dropped: tr.dropped}
+	tr.spans = nil
+	tr.mu.Unlock()
+	tr.tracer.keep(f)
+}
+
+// finishedTrace is a completed trace in the tracer's LRU. Most traces are
+// never read, so the exported TraceData is built by the first Get.
+type finishedTrace struct {
+	tr      *liveTrace
+	dur     time.Duration
+	spans   []spanRecord
+	dropped int
+	data    *TraceData // set by the first Get, under the tracer's lock
+}
+
+// export renders the trace in its exported form.
+func (f *finishedTrace) export() *TraceData {
+	tr := f.tr
+	spans := make([]SpanData, len(f.spans))
+	for i, r := range f.spans {
+		spans[i] = SpanData{
+			SpanID:  r.id.String(),
+			Name:    r.name,
+			StartUS: r.start.Microseconds(),
+			DurUS:   r.dur.Microseconds(),
+			Attrs:   r.attrs,
+		}
+		if !r.parent.IsZero() {
+			spans[i].ParentID = r.parent.String()
+		}
+	}
+	return &TraceData{
 		Schema:       Schema,
 		TraceID:      tr.id.String(),
 		RootSpanID:   tr.root.id.String(),
 		RequestID:    tr.requestID,
 		RemoteParent: tr.remote,
 		Start:        tr.start.UTC().Format(time.RFC3339Nano),
-		DurUS:        tr.root.Duration().Microseconds(),
-		Spans:        tr.spans,
-		DroppedSpans: tr.dropped,
+		DurUS:        f.dur.Microseconds(),
+		Spans:        spans,
+		DroppedSpans: f.dropped,
 	}
-	tr.spans = nil
-	tr.mu.Unlock()
-	tr.tracer.keep(d)
 }
 
 // SpanData is the exported form of one completed span. Start offsets are

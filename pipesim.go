@@ -163,7 +163,8 @@ type Config struct {
 	// tail (.Trace) is read from it, so with recording disabled errors
 	// carry no retire tail; after any run it is readable via
 	// Simulation.RecentEvents. Zero selects the default depth
-	// (256 events); a negative value disables recording. The recorder is
+	// (256 events); a negative value disables recording; Validate rejects
+	// depths above MaxFlightRecorderDepth. The recorder is
 	// observational only — it never changes simulation results — and its
 	// always-on cost is ~3% of an unobserved run (see
 	// BenchmarkFlightRecorderOverhead).
@@ -317,9 +318,10 @@ type LoopInfo = kernels.LoopInfo
 const BenchmarkInstructions = kernels.TotalInstructions
 
 // LivermoreProgram returns the paper's benchmark program (the first 14
-// Lawrence Livermore Loops) along with per-loop metadata. The program is
-// built once per process and shared by every caller; programs are
-// immutable, so concurrent simulations of it are safe.
+// Lawrence Livermore Loops) along with per-loop metadata. The program and
+// its Table I metadata are built once per process; every caller shares the
+// program (programs are immutable, so concurrent simulations of it are
+// safe) and gets its own copy of the metadata.
 func LivermoreProgram() (*Program, []LoopInfo, error) {
 	img, err := kernels.SharedProgram()
 	if err != nil {
@@ -640,36 +642,83 @@ func runSourceOf(src runcache.Source) RunSource {
 // → simulate, returning where the result came from. The simulator is
 // deterministic, so a served result is identical to a fresh run of the
 // same key. A fresh simulation is written through to both tiers (and
-// fires the run hook; served results do not — nothing ran).
+// fires the run hook; served results do not — nothing ran). It is
+// NewArchivedRun, Lookup and, on a miss, Simulate.
 //
 // Cached results replay no events, so probes, tracers and per-loop
 // collection need NewSimulation + Run instead. Under the native-format
 // relayout the hot miss-PC table keeps raw addresses (loop labels resolve
 // against the relaid-out image only a live Simulation holds).
 func RunArchived(ctx context.Context, cfg Config, prog *Program) (*Result, RunSource, error) {
-	if err := cfg.Validate(); err != nil {
+	run, err := NewArchivedRun(cfg, prog)
+	if err != nil {
 		return nil, RunSimulated, err
+	}
+	if res, src, ok := run.Lookup(ctx); ok {
+		return res, src, nil
+	}
+	res, err := run.Simulate(ctx)
+	return res, RunSimulated, err
+}
+
+// ArchivedRun is one RunArchived call split in two: Lookup serves a
+// cached result without simulating, and Simulate runs the machine on a
+// miss. A server answers hits on the request's own goroutine and hands
+// only Simulate to a worker or a deadline. The run's key is computed
+// once, by NewArchivedRun.
+type ArchivedRun struct {
+	cfg  Config
+	ccfg core.Config
+	img  *program.Image
+	key  runcache.Key
+}
+
+// NewArchivedRun validates the configuration (see Validate) and computes
+// the run's content-addressed key.
+func NewArchivedRun(cfg Config, prog *Program) (*ArchivedRun, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	ccfg, err := cfg.toCore()
 	if err != nil {
-		return nil, RunSimulated, err
+		return nil, err
 	}
+	return &ArchivedRun{cfg: cfg, ccfg: ccfg, img: prog.img, key: runcache.KeyFor(ccfg, prog.img.Fingerprint())}, nil
+}
+
+// Lookup serves the run from the run cache's memory tier or its
+// persistent store, without simulating; ok is false on a miss (or with
+// the cache disabled).
+func (a *ArchivedRun) Lookup(ctx context.Context) (res *Result, src RunSource, ok bool) {
+	st, rs, ok := runcache.Default.Lookup(ctx, a.key)
+	if !ok {
+		return nil, RunSimulated, false
+	}
+	return a.result(st), runSourceOf(rs), true
+}
+
+// Simulate runs the machine, writes the result through both run-cache
+// tiers and fires the run hook.
+func (a *ArchivedRun) Simulate(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	st, src, err := runcache.Default.RunSource(ctx, ccfg, prog.img)
-	source := runSourceOf(src)
+	st, err := runcache.Default.Fill(ctx, a.key, a.ccfg, a.img)
 	if err != nil {
-		fireRunHook(cfg, nil, err, time.Since(start))
-		return nil, source, err
+		fireRunHook(a.cfg, nil, err, time.Since(start))
+		return nil, err
 	}
+	res := a.result(st)
+	fireRunHook(a.cfg, res, nil, time.Since(start))
+	return res, nil
+}
+
+// result converts cached or fresh statistics into the run's Result.
+func (a *ArchivedRun) result(st *stats.Sim) *Result {
 	res := resultFrom(st)
-	res.Key = runcache.KeyFor(ccfg, prog.img.Fingerprint()).String()
-	if !cfg.NativeFormat {
-		resolveHotPCs(res, prog.img)
+	res.Key = a.key.String()
+	if !a.cfg.NativeFormat {
+		resolveHotPCs(res, a.img)
 	}
-	if source == RunSimulated {
-		fireRunHook(cfg, res, nil, time.Since(start))
-	}
-	return res, source, nil
+	return res
 }
 
 // Probe consumes the simulator's typed observability event stream: one

@@ -76,7 +76,7 @@ if [ "$SHORT" = 1 ]; then
     # CI smoke: one iteration of the key end-to-end benchmarks — enough to
     # prove they run and produce a parseable baseline, not a timing source.
     echo "== go test -bench (short)" >&2
-    go test -run '^$' -bench 'SingleRun|ProbeOverhead|RunHookOverhead|SweepE2E|FlightRecorderOverhead|SpanOverhead|MissClassOverhead|RunArchivedHit' \
+    go test -run '^$' -bench 'SingleRun|ProbeOverhead|RunHookOverhead|SweepE2E|FlightRecorderOverhead|SpanOverhead|MissClassOverhead|RunArchivedHit|ServeRunHit' \
         -benchtime 1x -benchmem ./... | tee "$RAW"
 else
     echo "== go test -bench (full)" >&2

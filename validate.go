@@ -3,6 +3,8 @@ package pipesim
 import (
 	"errors"
 	"fmt"
+
+	"pipesim/internal/obs"
 )
 
 // Upper bounds accepted by Config.Validate. They are guardrails for
@@ -27,6 +29,9 @@ const (
 	MaxTIBEntries = 4096
 	// MaxCacheTopPCs bounds CacheTopPCs.
 	MaxCacheTopPCs = 1 << 16
+	// MaxFlightRecorderDepth bounds FlightRecorderDepth: 65536 events, a
+	// 2 MiB ring.
+	MaxFlightRecorderDepth = obs.MaxFlightRecDepth
 )
 
 // ErrInvalidConfig tags every error returned by Config.Validate, so callers
@@ -148,6 +153,11 @@ func (c Config) Validate() error {
 		}
 	} else if c.DCacheLineBytes != 0 {
 		bad("DCacheLineBytes", "set without DCacheBytes")
+	}
+
+	if c.FlightRecorderDepth > MaxFlightRecorderDepth {
+		bad("FlightRecorderDepth", "%d must be at most %d (0 selects the default, negative disables)",
+			c.FlightRecorderDepth, MaxFlightRecorderDepth)
 	}
 
 	if c.CacheStats {

@@ -2,6 +2,7 @@ package pipesim_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,11 @@ func TestValidateAcceptsPaperConfigs(t *testing.T) {
 	tib.Strategy = pipesim.StrategyTIB
 	if err := tib.Validate(); err != nil {
 		t.Errorf("tib: %v", err)
+	}
+	deep := pipesim.DefaultConfig()
+	deep.FlightRecorderDepth = pipesim.MaxFlightRecorderDepth
+	if err := deep.Validate(); err != nil {
+		t.Errorf("deepest flight recorder: %v", err)
 	}
 }
 
@@ -92,6 +98,8 @@ func TestValidateRules(t *testing.T) {
 		{"ragged dcache line", func(c *pipesim.Config) { c.DCacheBytes = 64; c.DCacheLineBytes = 12 }, "DCacheLineBytes"},
 		{"dcache line without dcache", func(c *pipesim.Config) { c.DCacheLineBytes = 16 }, "DCacheLineBytes"},
 		{"misaligned interrupt vector", func(c *pipesim.Config) { c.InterruptAt = 100; c.InterruptVector = 2 }, "InterruptVector"},
+		{"oversized flight recorder", func(c *pipesim.Config) { c.FlightRecorderDepth = pipesim.MaxFlightRecorderDepth + 1 }, "FlightRecorderDepth"},
+		{"MaxInt64 flight recorder", func(c *pipesim.Config) { c.FlightRecorderDepth = math.MaxInt64 }, "FlightRecorderDepth"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
